@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-diff bench-smoke fuzz-smoke heal-smoke async-smoke partition-smoke serve-smoke wal-smoke replica-smoke verify
+.PHONY: build test race bench bench-json bench-diff bench-smoke fuzz-smoke heal-smoke async-smoke partition-smoke serve-smoke wal-smoke replica-smoke perfbench-test verify
 
 build:
 	$(GO) build ./...
@@ -141,4 +141,11 @@ wal-smoke:
 replica-smoke:
 	$(GO) test -race -run TestReplicaSmokeFailover ./cmd/structura
 
-verify: build test race bench-smoke fuzz-smoke heal-smoke async-smoke partition-smoke serve-smoke wal-smoke replica-smoke bench-diff
+# The end-to-end benchmark is its own module compiled against these
+# packages: its tests build it, build the structura binary, and run a short
+# oracle-checked pass of each workload against it, so an API or behaviour
+# break the benchmark depends on fails here instead of in a benchmark run.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
+verify: build test race bench-smoke fuzz-smoke heal-smoke async-smoke partition-smoke serve-smoke wal-smoke replica-smoke perfbench-test bench-diff

@@ -22,6 +22,11 @@ import (
 	"structura/internal/wal"
 )
 
+// readHeaderTimeout bounds how long a client may take to send a request's
+// headers, so a slow or stalled client cannot pin a connection forever.
+// Idle keep-alive connections between requests are not affected.
+const readHeaderTimeout = 10 * time.Second
+
 // runServe is the `structura serve` subcommand: stand up the resident
 // structure server over a generated or loaded topology and either listen on
 // -addr or, with -loadgen N, drive N in-process queries through the full
@@ -100,7 +105,7 @@ func runServe(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "listening on %s\n", ln.Addr())
-		httpSrv = &http.Server{Handler: gate}
+		httpSrv = &http.Server{Handler: gate, ReadHeaderTimeout: readHeaderTimeout}
 		go func() { errCh <- httpSrv.Serve(ln) }()
 	}
 
@@ -145,11 +150,11 @@ func runServe(args []string, out io.Writer) error {
 			return fmt.Errorf("-data-dir %s: %w", *dataDir, err)
 		}
 		wlog = l
+		g = l.Graph() // the log's replica is the one topology the server mutates
 		cfg.WAL = l
 		if created {
 			fmt.Fprintf(out, "created store in %s at batch 0\n", *dataDir)
 		} else {
-			g = l.Graph()
 			cfg.Recovered = &rec
 			fmt.Fprintf(out, "recovered %s: batch %d (%d batch(es), %d record(s) replayed from the log)\n",
 				*dataDir, rec.Seq, rec.Batches, rec.Replayed)

@@ -994,16 +994,9 @@ func (x *Executor[S]) applyRound(r int) {
 				x.trace = append(x.trace, sim.Event{Round: r, Op: e.Op, U: e.U, V: e.V})
 				return
 			}
-			if e.U == e.V || x.live.HasEdge(e.U, e.V) {
-				return
-			}
-			if x.live.AddEdge(e.U, e.V) != nil {
-				return
-			}
-			topoChanged = true
-			addDirty(e.U, e.V)
+			fallthrough
 		case sim.OpRemoveEdge:
-			if !x.live.RemoveEdge(e.U, e.V) {
+			if !e.ApplyEdge(x.live) {
 				return
 			}
 			topoChanged = true
@@ -1055,7 +1048,7 @@ func (x *Executor[S]) applyRound(r int) {
 			for i := 0; i < x.sch.ChurnAdd; i++ {
 				for try := 0; try < 16; try++ {
 					u, v := x.rng.IntN(x.n), x.rng.IntN(x.n)
-					if u == v || x.live.HasEdge(u, v) {
+					if !x.live.CanAddEdge(u, v) {
 						continue
 					}
 					apply(sim.Event{Op: sim.OpAddEdge, U: u, V: v})
@@ -1136,21 +1129,14 @@ func (x *Executor[S]) pause(v, r, d int) {
 }
 
 // applyEventNow injects one fault event at the current virtual time — the
-// path external fault drivers (the heal Supervisor) use. Edge events
-// refreeze and activate their endpoints immediately.
+// path external fault drivers (the heal Supervisor) use. Such a driver owns
+// the live topology: it has already applied an edge event to x.live under
+// the acceptance rule, so here the executor only refreezes its view and
+// activates the endpoints.
 func (x *Executor[S]) applyEventNow(e sim.Event) (dirty []int, applied bool) {
 	r := x.window(x.now)
 	switch e.Op {
-	case sim.OpAddEdge:
-		if e.U == e.V || x.live.HasEdge(e.U, e.V) || x.live.AddEdge(e.U, e.V) != nil {
-			return nil, false
-		}
-		dirty = []int{e.U, e.V}
-		x.refreeze()
-	case sim.OpRemoveEdge:
-		if !x.live.RemoveEdge(e.U, e.V) {
-			return nil, false
-		}
+	case sim.OpAddEdge, sim.OpRemoveEdge:
 		dirty = []int{e.U, e.V}
 		x.refreeze()
 	case sim.OpCrash:

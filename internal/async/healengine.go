@@ -80,7 +80,9 @@ func (e *DistVecHealEngine) Dist() []float64 { return e.x.States() }
 // ExecutorStats exposes the underlying transport accounting.
 func (e *DistVecHealEngine) ExecutorStats() Stats { return e.x.stats }
 
-// Apply injects one churn event at the current virtual time.
+// Apply notifies the executor of one event at the current virtual time: an
+// edge event the supervisor already applied to Live() refreezes the
+// executor's view; crash, skip and drop faults are injected here.
 func (e *DistVecHealEngine) Apply(ev sim.Event) (dirty []int, applied bool) {
 	return e.x.applyEventNow(ev)
 }

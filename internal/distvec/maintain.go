@@ -19,6 +19,9 @@ import (
 // relaxation sweeps from the disturbed nodes, under an explicit budget, so
 // a supervisor can measure locality and escalate to a BFS rebuild when a
 // partition makes the vector count toward the ceiling.
+//
+// The maintainer reads the caller's graph and never mutates it: the owner
+// applies each topology change and then reports removals via EdgeRemoved.
 type Maintainer struct {
 	g    *graph.Graph
 	dest int
@@ -26,8 +29,8 @@ type Maintainer struct {
 	next []int     // next hop toward dest; -1 at dest and when unreachable
 }
 
-// NewMaintainer builds the maintainer over a clone of g (the caller's graph
-// is never mutated) with labels initialized to true BFS hop counts.
+// NewMaintainer builds the maintainer over g (retained, read-only) with
+// labels initialized to true BFS hop counts.
 func NewMaintainer(g *graph.Graph, dest int) (*Maintainer, error) {
 	if g.Directed() {
 		return nil, errors.New("distvec: maintainer needs an undirected support")
@@ -36,7 +39,7 @@ func NewMaintainer(g *graph.Graph, dest int) (*Maintainer, error) {
 		return nil, errors.New("distvec: destination out of range")
 	}
 	m := &Maintainer{
-		g:    g.Clone(),
+		g:    g,
 		dest: dest,
 		dist: make([]float64, g.N()),
 		next: make([]int, g.N()),
@@ -45,8 +48,8 @@ func NewMaintainer(g *graph.Graph, dest int) (*Maintainer, error) {
 	return m, nil
 }
 
-// NewMaintainerFromLabels builds the maintainer over a clone of g with the
-// labels seeded from a recovered epoch instead of a BFS rebuild — the
+// NewMaintainerFromLabels builds the maintainer over g (retained,
+// read-only) with the labels seeded from a recovered epoch instead of a BFS rebuild — the
 // warm-start path, where durable (dist, next) arrays are already consistent
 // with g up to a known dirty set the caller heals afterwards. The arrays
 // are copied; only their lengths are validated here (consistency is the
@@ -63,7 +66,7 @@ func NewMaintainerFromLabels(g *graph.Graph, dest int, dist []float64, next []in
 		return nil, errors.New("distvec: label arrays do not match the graph")
 	}
 	return &Maintainer{
-		g:    g.Clone(),
+		g:    g,
 		dest: dest,
 		dist: append([]float64(nil), dist...),
 		next: append([]int(nil), next...),
@@ -72,9 +75,6 @@ func NewMaintainerFromLabels(g *graph.Graph, dest int, dist []float64, next []in
 
 // Dest returns the destination node.
 func (m *Maintainer) Dest() int { return m.dest }
-
-// Graph returns a copy of the live support graph.
-func (m *Maintainer) Graph() *graph.Graph { return m.g.Clone() }
 
 // Dist returns a copy of the current hop labels.
 func (m *Maintainer) Dist() []float64 { return append([]float64(nil), m.dist...) }
@@ -85,23 +85,17 @@ func (m *Maintainer) Dist() []float64 { return append([]float64(nil), m.dist...)
 // serving layer publishes per epoch.
 func (m *Maintainer) NextHops() []int { return append([]int(nil), m.next...) }
 
-// AddEdge inserts support edge (u,v) and returns the nodes whose labels the
-// change may have invalidated. The labels themselves are not updated —
-// detection and repair are the supervisor's moves.
-func (m *Maintainer) AddEdge(u, v int) ([]int, error) {
-	if err := m.g.AddEdge(u, v); err != nil {
-		return nil, err
-	}
-	return []int{u, v}, nil
-}
-
-// RemoveEdge deletes support edge (u,v). Each endpoint that was routing
-// over the lost edge is poisoned on the spot — label +Inf, no next hop — so
-// its stale finite estimate cannot keep circulating while the repair
-// frontier catches up (the poisoned-reverse discipline's first move).
-func (m *Maintainer) RemoveEdge(u, v int) ([]int, error) {
-	if !m.g.RemoveEdge(u, v) {
-		return nil, errors.New("distvec: edge does not exist")
+// EdgeRemoved reports that support edge (u,v) is gone from the graph. Each
+// endpoint that was routing over it is poisoned on the spot — label +Inf,
+// no next hop — so its stale finite estimate cannot keep circulating while
+// the repair frontier catches up (the poisoned-reverse discipline's first
+// move). The check runs against the graph as it stands now, so a notice for
+// an edge that is present again (removed and re-added within one batch)
+// poisons nothing. Labels are otherwise left alone: detection and repair
+// are the supervisor's moves, seeded from u and v.
+func (m *Maintainer) EdgeRemoved(u, v int) {
+	if u < 0 || u >= m.g.N() || v < 0 || v >= m.g.N() || m.g.HasEdge(u, v) {
+		return
 	}
 	if m.next[u] == v {
 		m.dist[u] = math.Inf(1)
@@ -111,7 +105,6 @@ func (m *Maintainer) RemoveEdge(u, v int) ([]int, error) {
 		m.dist[v] = math.Inf(1)
 		m.next[v] = -1
 	}
-	return []int{u, v}, nil
 }
 
 // offer is the label neighbor w advertises to x under split horizon with
@@ -124,13 +117,12 @@ func (m *Maintainer) offer(w, x int) float64 {
 	return m.dist[w]
 }
 
-// settle recomputes x's label from its neighbors' poisoned advertisements,
-// applying the hop ceiling, and reports whether it changed.
-func (m *Maintainer) settle(x int) bool {
+// rule computes x's (label, next hop) pair from its neighbors' poisoned
+// advertisements under the hop ceiling — what settle assigns and
+// Inconsistent checks against.
+func (m *Maintainer) rule(x int) (float64, int) {
 	if x == m.dest {
-		changed := m.dist[x] != 0 || m.next[x] != -1
-		m.dist[x], m.next[x] = 0, -1
-		return changed
+		return 0, -1
 	}
 	best, hop := math.Inf(1), -1
 	m.g.EachNeighbor(x, func(w int, _ float64) {
@@ -139,8 +131,14 @@ func (m *Maintainer) settle(x int) bool {
 		}
 	})
 	if best >= float64(m.g.N()) {
-		best, hop = math.Inf(1), -1 // counted past every simple path
+		return math.Inf(1), -1 // counted past every simple path
 	}
+	return best, hop
+}
+
+// settle recomputes x's label by rule and reports whether it changed.
+func (m *Maintainer) settle(x int) bool {
+	best, hop := m.rule(x)
 	if best == m.dist[x] && hop == m.next[x] {
 		return false
 	}
@@ -149,8 +147,7 @@ func (m *Maintainer) settle(x int) bool {
 }
 
 // Inconsistent returns, among the candidate nodes, those whose (label,
-// next hop) pair disagrees with what settle would compute from the
-// neighbors' poisoned advertisements — the local detector. Pass an event's
+// next hop) pair disagrees with rule — the local detector. Pass an event's
 // endpoints and their neighbors. Checking the next hop, not just the label,
 // is what makes the detector complete: a node can hold a correct label
 // while its stale next hop still points into a poisoned region, and that
@@ -166,22 +163,7 @@ func (m *Maintainer) Inconsistent(candidates []int) []int {
 			continue
 		}
 		seen[x] = true
-		if x == m.dest {
-			if m.dist[x] != 0 || m.next[x] != -1 {
-				out = append(out, x)
-			}
-			continue
-		}
-		best, hop := math.Inf(1), -1
-		m.g.EachNeighbor(x, func(w int, _ float64) {
-			if d := m.offer(w, x) + 1; d < best {
-				best, hop = d, w
-			}
-		})
-		if best >= float64(m.g.N()) {
-			best, hop = math.Inf(1), -1
-		}
-		if best != m.dist[x] || hop != m.next[x] {
+		if best, hop := m.rule(x); best != m.dist[x] || hop != m.next[x] {
 			out = append(out, x)
 		}
 	}
@@ -196,19 +178,14 @@ func (m *Maintainer) Inconsistent(candidates []int) []int {
 // (not ok — the caller escalates to Recompute). A partition drives labels
 // up toward the hop ceiling one sweep at a time, which is exactly the
 // bounded count-to-infinity the budget converts into an escalation.
-func (m *Maintainer) Repair(seeds []int, maxRounds, maxTouched int) (touched []int, rounds int, ok bool) {
-	touched, rounds, ok, _ = m.RepairContext(nil, seeds, maxRounds, maxTouched)
-	return touched, rounds, ok
-}
-
-// RepairContext is Repair with a cancellation context threaded through the
-// sweep loop (mirroring runtime.WithContext): the context is checked before
-// every sweep, and a repair interrupted mid-cascade stops where it is and
-// returns ctx.Err() with ok == false. A cancelled repair is NOT a budget
-// exhaustion — the caller should abort (e.g. a server shutting down must not
-// escalate to a full recompute it would also have to abandon), which is why
-// the error is surfaced separately from ok. A nil ctx disables the checks.
-func (m *Maintainer) RepairContext(ctx context.Context, seeds []int, maxRounds, maxTouched int) (touched []int, rounds int, ok bool, err error) {
+//
+// ctx is checked before every sweep (mirroring runtime.WithContext): a
+// repair interrupted mid-cascade stops where it is and returns ctx.Err()
+// with ok == false. A cancelled repair is NOT a budget exhaustion — the
+// caller should abort (e.g. a server shutting down must not escalate to a
+// full recompute it would also have to abandon), which is why the error is
+// surfaced separately from ok. A nil ctx disables the checks.
+func (m *Maintainer) Repair(ctx context.Context, seeds []int, maxRounds, maxTouched int) (touched []int, rounds int, ok bool, err error) {
 	frontier := make([]int, 0, len(seeds))
 	inFrontier := make(map[int]bool, len(seeds))
 	push := func(x int) {

@@ -129,8 +129,11 @@ func TestNewCSRValidation(t *testing.T) {
 		t.Fatalf("nil weights not zero-backed: %v", got)
 	}
 
-	// Oversized inputs hit the shared bounds gate.
-	if _, err := NewCSR(false, 0, make([]int32, math.MaxInt32+1), nil, nil); !errors.Is(err, ErrTooLarge) {
+	// Oversized inputs hit the shared bounds gate before any element is
+	// read, so the offsets can be address space that is never committed.
+	if huge, ok := reservedInt32s(t, math.MaxInt32+1); !ok {
+		t.Log("no uncommitted reservation on this platform; oversized-n case skipped")
+	} else if _, err := NewCSR(false, 0, huge, nil, nil); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized n: err=%v, want ErrTooLarge", err)
 	}
 }

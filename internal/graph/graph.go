@@ -104,8 +104,25 @@ func (g *Graph) AddWeightedEdge(u, v int, w float64) error {
 	return nil
 }
 
+// CanAddEdge is the add half of the edge-acceptance rule every live
+// topology in the system mutates under: an add is accepted only when both
+// endpoints are in range, it is not a self-loop, and the edge is not already
+// present. The remove half is RemoveEdge itself, which acts only on an
+// existing edge. Because the rule is deterministic, replaying one event
+// stream through it always rebuilds the same graph.
+func (g *Graph) CanAddEdge(u, v int) bool {
+	return g.check(u) == nil && g.check(v) == nil && u != v && !g.HasEdge(u, v)
+}
+
+// TryAddEdge adds edge (u,v) with weight w when CanAddEdge accepts it and
+// reports whether it did.
+func (g *Graph) TryAddEdge(u, v int, w float64) bool {
+	return g.CanAddEdge(u, v) && g.AddWeightedEdge(u, v, w) == nil
+}
+
 // RemoveEdge deletes one edge between u and v (all parallel copies in the
-// matching direction). It reports whether any edge was removed.
+// matching direction). It reports whether any edge was removed: a remove
+// naming an absent edge or an out-of-range node is rejected.
 func (g *Graph) RemoveEdge(u, v int) bool {
 	removed := g.removeHalf(u, v)
 	if removed > 0 {

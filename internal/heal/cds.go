@@ -40,9 +40,8 @@ func newCDSEngineOver(g *graph.Graph) (*cdsEngine, error) {
 }
 
 // NewCDSEngineOver builds a supervised CDS engine over the caller's
-// topology (retained and mutated through Apply — pass a clone to keep the
-// original), for callers maintaining the backbone on their own graph: the
-// serving layer's ingest path. Construction fails on a disconnected graph
+// topology (retained and only read), for callers maintaining the backbone
+// on their own graph: the serving layer's ingest path. Construction fails on a disconnected graph
 // (no CDS exists), so serving layers treat the backbone as optional.
 // CDSMembers exposes the membership an epoch publishes.
 func NewCDSEngineOver(g *graph.Graph) (Engine, error) {
@@ -57,9 +56,7 @@ func (e *cdsEngine) CDSMembers() []int {
 func (e *cdsEngine) Name() string       { return "cds" }
 func (e *cdsEngine) Live() *graph.Graph { return e.g }
 
-func (e *cdsEngine) Apply(ev sim.Event) ([]int, bool) {
-	return applyEdgeEvent(e.g, ev)
-}
+func (e *cdsEngine) Apply(ev sim.Event) ([]int, bool) { return edgeEndpoints(ev) }
 
 func (e *cdsEngine) dominated(v int) bool {
 	if e.members[v] {

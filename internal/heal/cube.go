@@ -36,9 +36,7 @@ func newCubeEngine(seed uint64) (*cubeEngine, error) {
 func (e *cubeEngine) Name() string       { return "hypercube" }
 func (e *cubeEngine) Live() *graph.Graph { return e.g }
 
-func (e *cubeEngine) Apply(ev sim.Event) ([]int, bool) {
-	return applyEdgeEvent(e.g, ev)
-}
+func (e *cubeEngine) Apply(ev sim.Event) ([]int, bool) { return edgeEndpoints(ev) }
 
 func (e *cubeEngine) CheckLocal(dirty []int) []sim.Violation {
 	if len(dirty) == 0 {

@@ -14,7 +14,7 @@ import (
 // the dirtied nodes' neighbors: poisoning an endpoint changes the offers
 // its neighbors see.
 type distvecEngine struct {
-	g *graph.Graph // live mirror, kept in lockstep with the maintainer's clone
+	g *graph.Graph // the support the maintainer reads
 	m *distvec.Maintainer
 }
 
@@ -31,10 +31,10 @@ func newDistVecEngineOver(g *graph.Graph, dest int) (*distvecEngine, error) {
 }
 
 // NewDistVecEngineOver builds a supervised distance-vector engine over the
-// caller's topology (retained and mutated through Apply — pass a clone to
-// keep the original) toward dest, for callers that maintain route labels on
-// their own graph rather than a sim scenario: the serving layer's ingest
-// path. RouteLabels exposes the labels an epoch publishes.
+// caller's topology (retained and only read) toward dest, for callers that
+// maintain route labels on their own graph rather than a sim scenario: the
+// serving layer's ingest path. RouteLabels exposes the labels an epoch
+// publishes.
 func NewDistVecEngineOver(g *graph.Graph, dest int) (Engine, error) {
 	return newDistVecEngineOver(g, dest)
 }
@@ -50,21 +50,10 @@ func (e *distvecEngine) Name() string       { return "distvec" }
 func (e *distvecEngine) Live() *graph.Graph { return e.g }
 
 func (e *distvecEngine) Apply(ev sim.Event) ([]int, bool) {
-	dirty, applied := applyEdgeEvent(e.g, ev)
-	if !applied {
-		return nil, false
+	if ev.Op == sim.OpRemoveEdge {
+		e.m.EdgeRemoved(ev.U, ev.V)
 	}
-	var err error
-	if ev.Op == sim.OpAddEdge {
-		_, err = e.m.AddEdge(ev.U, ev.V)
-	} else {
-		_, err = e.m.RemoveEdge(ev.U, ev.V)
-	}
-	if err != nil {
-		// The mirror accepted the event, so the maintainer must have too.
-		panic("heal: distvec maintainer diverged from live mirror: " + err.Error())
-	}
-	return dirty, true
+	return edgeEndpoints(ev)
 }
 
 func (e *distvecEngine) CheckLocal(dirty []int) []sim.Violation {
@@ -85,7 +74,7 @@ func (e *distvecEngine) CheckLocal(dirty []int) []sim.Violation {
 func (e *distvecEngine) Repair(viols []sim.Violation, b Budget) RepairOutcome {
 	// A ctx error surfaces as !OK; the Supervisor re-checks its own context
 	// after Repair and aborts instead of escalating.
-	touched, rounds, ok, _ := e.m.RepairContext(b.Ctx, violationNodes(viols), b.MaxRounds, b.MaxTouched)
+	touched, rounds, ok, _ := e.m.Repair(b.Ctx, violationNodes(viols), b.MaxRounds, b.MaxTouched)
 	return RepairOutcome{Touched: touched, Rounds: rounds, OK: ok}
 }
 

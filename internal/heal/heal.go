@@ -77,16 +77,28 @@ type RepairOutcome struct {
 // Engine is a supervised labeling engine: a live structure over a churning
 // support graph with local detection, localized repair, and full recompute.
 // Implementations live in this package, one per labeling scheme.
+//
+// An engine keeps labels, never topology. The support graph belongs to its
+// owner — a Supervisor applying events, or a serving layer whose
+// write-ahead log is the graph's only mutator — which changes it under the
+// graph's edge-acceptance rule and then notifies the engine through Apply.
+// Several engines may share one graph.
 type Engine interface {
 	Name() string
 
-	// Live returns the current support topology. The caller must treat it
-	// as read-only; all mutation goes through Apply.
+	// Live returns the support topology the labels describe. The engine
+	// only reads it.
 	Live() *graph.Graph
 
-	// Apply executes one churn event against the live structure and
-	// returns the nodes whose local rules the event may have invalidated,
-	// plus whether the event applied at all.
+	// Apply notifies the engine of one event and returns the nodes whose
+	// local rules it may have invalidated, plus whether the engine took
+	// note of it. An edge event has already been applied to Live() — when
+	// a batch is notified, the whole batch has — so the engine updates
+	// only its own labels and judges against the topology as it stands
+	// now. An edge event the acceptance rule rejected may be notified too
+	// and must leave correct labels correct. Events that change no
+	// topology (crash, skip, drop) are for engines that model them; the
+	// others report false.
 	Apply(e sim.Event) (dirty []int, applied bool)
 
 	// CheckLocal runs the engine's local detector over the dirtied nodes
@@ -183,9 +195,9 @@ type Supervisor struct {
 	ForceRecompute bool
 
 	// Ctx, when non-nil, cancels the supervision (mirroring
-	// runtime.WithContext): Run checks it between rounds, ApplyBatch
-	// between events, and both thread it into each repair's Budget so an
-	// active repair stops mid-cascade. A cancelled run returns the report
+	// runtime.WithContext): Run checks it between rounds, the batch entry
+	// points between events, and all thread it into each repair's Budget
+	// so an active repair stops mid-cascade. A cancelled run returns the report
 	// accumulated so far together with ctx.Err(); no escalation happens on
 	// cancellation, so the engine's labels are simply left where the repair
 	// stopped — callers must not publish them.
@@ -234,8 +246,7 @@ func (s *Supervisor) Run(seed uint64, sch sim.Schedule) (*Report, error) {
 		rep.Rounds = round
 		dirty := append([]int(nil), pending...)
 		for _, e := range fs.RoundEvents(round, eng.Live()) {
-			d, applied := eng.Apply(e)
-			if applied {
+			if d, applied := s.applyEvent(e); applied {
 				rep.Events++
 				lastFault = round
 				dirty = append(dirty, d...)
@@ -278,44 +289,75 @@ func (s *Supervisor) Run(seed uint64, sch sim.Schedule) (*Report, error) {
 	return rep, nil
 }
 
+// applyEvent applies one event to the engine's topology under the graph's
+// edge-acceptance rule and notifies the engine. An edge event the rule
+// rejects is dropped unheard.
+func (s *Supervisor) applyEvent(e sim.Event) ([]int, bool) {
+	if (e.Op == sim.OpAddEdge || e.Op == sim.OpRemoveEdge) && !e.ApplyEdge(s.Engine.Live()) {
+		return nil, false
+	}
+	return s.Engine.Apply(e)
+}
+
 // ApplyBatch drives one detect → repair → escalate cycle for an ad-hoc
-// batch of edge events outside any fault timeline — the ingest path of a
-// serving layer, where mutation batches arrive from clients instead of a
-// sim.Schedule. Events' Round fields are ignored. The returned report
-// covers just this batch (Rounds is 1; Standing lists violations that
-// survived repair AND recompute, e.g. a disconnected support). On
-// cancellation via s.Ctx the batch is abandoned where it stands and
-// ctx.Err() is returned: the engine's labels may be mid-repair, so the
-// caller must not publish them.
+// batch of edge events outside any fault timeline: each event is applied
+// to the engine's Live() topology under the acceptance rule, the engine is
+// notified of each one that applied, and the batch then heals. Events'
+// Round fields are ignored. The returned report covers just this batch
+// (Rounds is 1; Standing lists violations that survived repair AND
+// recompute, e.g. a disconnected support). On cancellation via s.Ctx the
+// batch is abandoned where it stands and ctx.Err() is returned: the
+// engine's labels may be mid-repair, so the caller must not publish them.
 func (s *Supervisor) ApplyBatch(events []sim.Event) (*Report, error) {
+	return s.batch(events, s.applyEvent)
+}
+
+// HealBatch is ApplyBatch for a batch the topology's owner has already
+// applied to Live() — the serving layer's path, where one writer-owned
+// graph backs every engine. Every event is notified, accepted or not, and
+// the engine judges each against the post-batch topology; the batch then
+// heals exactly as in ApplyBatch.
+func (s *Supervisor) HealBatch(events []sim.Event) (*Report, error) {
+	return s.batch(events, func(e sim.Event) ([]int, bool) { return s.Engine.Apply(e) })
+}
+
+// batch notifies the engine of every event through notify, then runs one
+// detect → repair → escalate cycle over the nodes the events dirtied.
+func (s *Supervisor) batch(events []sim.Event, notify func(sim.Event) ([]int, bool)) (*Report, error) {
 	if s.Engine == nil {
 		return nil, ErrNoEngine
 	}
-	eng := s.Engine
-	rep := &Report{Engine: eng.Name(), Nodes: eng.Live().N(), Rounds: 1}
+	rep := &Report{Engine: s.Engine.Name(), Nodes: s.Engine.Live().N(), Rounds: 1}
 	var dirty []int
 	for _, e := range events {
 		if cerr := s.cancelled(); cerr != nil {
 			return rep, cerr
 		}
-		if d, applied := eng.Apply(e); applied {
+		if d, applied := notify(e); applied {
 			rep.Events++
 			dirty = append(dirty, d...)
 		}
 	}
-	viols := eng.CheckLocal(dirty)
+	return rep, s.heal(rep, dirty)
+}
+
+// heal is the detect → repair → escalate cycle every batch entry point
+// shares: local detection over the dirtied nodes, then resolve. Violations
+// left standing land in rep.Standing.
+func (s *Supervisor) heal(rep *Report, dirty []int) error {
+	viols := s.Engine.CheckLocal(dirty)
 	if len(viols) == 0 {
-		return rep, nil
+		return nil
 	}
 	rep.Detections = append(rep.Detections, Detection{
 		Round: 1, FaultRound: 1, Violations: len(viols), First: viols[0].String(),
 	})
 	left, err := s.resolve(rep, viols, dirty)
 	if err != nil {
-		return rep, err
+		return err
 	}
 	rep.Standing = left
-	return rep, nil
+	return nil
 }
 
 // resolve runs the repair → verify → escalate arm of the state machine for
@@ -402,23 +444,10 @@ func expandNeighbors(g *graph.Graph, nodes []int) []int {
 	return out
 }
 
-// applyEdgeEvent mutates g per an add-edge / remove-edge event, reporting
-// the dirtied endpoints and whether the event applied (scripted events can
-// target edges that no longer exist, or duplicates).
-func applyEdgeEvent(g *graph.Graph, e sim.Event) ([]int, bool) {
-	switch e.Op {
-	case sim.OpAddEdge:
-		if e.U == e.V || g.HasEdge(e.U, e.V) {
-			return nil, false
-		}
-		if err := g.AddEdge(e.U, e.V); err != nil {
-			return nil, false
-		}
-	case sim.OpRemoveEdge:
-		if !g.RemoveEdge(e.U, e.V) {
-			return nil, false
-		}
-	default:
+// edgeEndpoints is the notification half of an edge event for engines
+// whose labels need no per-event update: the endpoints are dirtied.
+func edgeEndpoints(e sim.Event) ([]int, bool) {
+	if e.Op != sim.OpAddEdge && e.Op != sim.OpRemoveEdge {
 		return nil, false
 	}
 	return []int{e.U, e.V}, true

@@ -157,7 +157,7 @@ func (f *fakeEngine) Name() string       { return "fake" }
 func (f *fakeEngine) Live() *graph.Graph { return f.g }
 
 func (f *fakeEngine) Apply(e sim.Event) ([]int, bool) {
-	dirty, applied := applyEdgeEvent(f.g, e)
+	dirty, applied := edgeEndpoints(e)
 	if applied {
 		f.broken = true
 	}

@@ -33,9 +33,9 @@ func newMISEngineOver(g *graph.Graph) (*misEngine, error) {
 }
 
 // NewMISEngineOver builds a supervised MIS engine over the caller's
-// topology (retained and mutated through Apply — pass a clone to keep the
-// original) under ID priorities, for callers maintaining the election on
-// their own graph: the serving layer's ingest path. MISLabels exposes the
+// topology (retained and only read) under ID priorities, for callers
+// maintaining the election on their own graph: the serving layer's ingest
+// path. MISLabels exposes the
 // membership an epoch publishes.
 func NewMISEngineOver(g *graph.Graph) (Engine, error) {
 	return newMISEngineOver(g)
@@ -49,9 +49,7 @@ func (e *misEngine) MISLabels() []bool {
 func (e *misEngine) Name() string       { return "mis" }
 func (e *misEngine) Live() *graph.Graph { return e.g }
 
-func (e *misEngine) Apply(ev sim.Event) ([]int, bool) {
-	return applyEdgeEvent(e.g, ev)
-}
+func (e *misEngine) Apply(ev sim.Event) ([]int, bool) { return edgeEndpoints(ev) }
 
 func (e *misEngine) CheckLocal(dirty []int) []sim.Violation {
 	bad := labeling.MISFixedPointViolations(e.g, e.in, e.prio, dirty)

@@ -20,7 +20,7 @@ import (
 // heights from a BFS, which fails exactly when churn partitioned the
 // support away from the destination.
 type reversalEngine struct {
-	g       *graph.Graph // live support mirror
+	g       *graph.Graph // live support
 	net     *reversal.Network
 	dest    int
 	fails   int // link failures injected, for the count-bound invariant
@@ -64,20 +64,21 @@ func (e *reversalEngine) rebuild() error {
 func (e *reversalEngine) Name() string       { return "reversal" }
 func (e *reversalEngine) Live() *graph.Graph { return e.g }
 
+// Apply brings the link-orientation state, which keeps its own copy of the
+// links it orients, in line with the live support for the event's link.
 func (e *reversalEngine) Apply(ev sim.Event) ([]int, bool) {
-	dirty, applied := applyEdgeEvent(e.g, ev)
-	if !applied {
-		return nil, false
-	}
-	if ev.Op == sim.OpAddEdge {
-		if err := e.net.AddLink(ev.U, ev.V); err != nil {
-			panic("heal: reversal network diverged from live mirror: " + err.Error())
+	u, v := ev.U, ev.V
+	linked := e.net.PointsTo(u, v) || e.net.PointsTo(v, u)
+	switch {
+	case ev.Op == sim.OpAddEdge && !linked && e.g.HasEdge(u, v):
+		if err := e.net.AddLink(u, v); err != nil {
+			panic("heal: reversal network diverged from the live support: " + err.Error())
 		}
-	} else {
-		e.net.RemoveLink(ev.U, ev.V)
+	case ev.Op == sim.OpRemoveEdge && linked && !e.g.HasEdge(u, v):
+		e.net.RemoveLink(u, v)
 		e.fails++
 	}
-	return dirty, true
+	return edgeEndpoints(ev)
 }
 
 func (e *reversalEngine) CheckLocal(dirty []int) []sim.Violation {

@@ -14,7 +14,7 @@ import (
 
 // NewDistVecEngineFromLabels is NewDistVecEngineOver seeded with recovered
 // route labels: hop distances and next hops toward dest, as persisted by
-// the WAL's label epochs. g is retained and mutated through Apply.
+// the WAL's label epochs. g is retained and only read.
 func NewDistVecEngineFromLabels(g *graph.Graph, dest int, dist []float64, next []int) (Engine, error) {
 	m, err := distvec.NewMaintainerFromLabels(g, dest, dist, next)
 	if err != nil {
@@ -24,8 +24,7 @@ func NewDistVecEngineFromLabels(g *graph.Graph, dest int, dist []float64, next [
 }
 
 // NewMISEngineFromLabels is NewMISEngineOver seeded with a recovered
-// membership array under ID priorities. g is retained and mutated through
-// Apply.
+// membership array under ID priorities. g is retained and only read.
 func NewMISEngineFromLabels(g *graph.Graph, in []bool) (Engine, error) {
 	if len(in) != g.N() {
 		return nil, errLabelMismatch("mis", g.N(), len(in))
@@ -38,7 +37,7 @@ func NewMISEngineFromLabels(g *graph.Graph, in []bool) (Engine, error) {
 }
 
 // NewCDSEngineFromLabels is NewCDSEngineOver seeded with a recovered
-// backbone membership array. g is retained and mutated through Apply.
+// backbone membership array. g is retained and only read.
 // Unlike NewCDSEngineOver this cannot fail on a disconnected support — the
 // recovered membership simply stands until a heal pass rules on it.
 func NewCDSEngineFromLabels(g *graph.Graph, members []bool) (Engine, error) {
@@ -68,7 +67,7 @@ func (e *labelMismatchError) Error() string {
 }
 
 // HealDirty runs one detect → repair → escalate cycle over an
-// externally-derived dirty set without applying any events — the
+// externally-derived dirty set without notifying any events — the
 // warm-start path, where recovery already replayed the topology and
 // reports exactly which nodes the durable label epoch may not cover. The
 // returned report covers just this pass; Standing lists violations that
@@ -77,22 +76,9 @@ func (s *Supervisor) HealDirty(dirty []int) (*Report, error) {
 	if s.Engine == nil {
 		return nil, ErrNoEngine
 	}
-	eng := s.Engine
-	rep := &Report{Engine: eng.Name(), Nodes: eng.Live().N(), Rounds: 1}
+	rep := &Report{Engine: s.Engine.Name(), Nodes: s.Engine.Live().N(), Rounds: 1}
 	if cerr := s.cancelled(); cerr != nil {
 		return rep, cerr
 	}
-	viols := eng.CheckLocal(dirty)
-	if len(viols) == 0 {
-		return rep, nil
-	}
-	rep.Detections = append(rep.Detections, Detection{
-		Round: 1, FaultRound: 1, Violations: len(viols), First: viols[0].String(),
-	})
-	left, err := s.resolve(rep, viols, dirty)
-	if err != nil {
-		return rep, err
-	}
-	rep.Standing = left
-	return rep, nil
+	return rep, s.heal(rep, dirty)
 }

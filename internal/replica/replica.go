@@ -143,8 +143,7 @@ func (r *Replica) bootstrap() error {
 	if err != nil {
 		return fmt.Errorf("replica: mirrored snapshot: %w", err)
 	}
-	a := wal.NewApplier(g, ls, seq)
-	a.OnCommit = func(uint64) { r.lastCommitNs.Store(time.Now().UnixNano()) }
+	a := r.newApplier(g, ls, seq)
 	logData, err := r.mirror.LogData()
 	if err != nil {
 		return err
@@ -296,10 +295,19 @@ func (r *Replica) bootstrapLocked() error {
 	if err != nil {
 		return fmt.Errorf("replica: snapshot payload: %w", err)
 	}
-	a := wal.NewApplier(g, ls, seq)
-	a.OnCommit = func(uint64) { r.lastCommitNs.Store(time.Now().UnixNano()) }
-	r.applier = a
+	r.applier = r.newApplier(g, ls, seq)
 	return nil
+}
+
+// newApplier starts the live applier over a snapshot base, stamping the
+// staleness clock on every committed batch.
+func (r *Replica) newApplier(g *graph.Graph, ls *wal.LabelSet, seq uint64) *wal.Applier {
+	a := wal.NewApplier(g, ls, seq)
+	a.OnCommit = func(wal.Record, []wal.Record) error {
+		r.lastCommitNs.Store(time.Now().UnixNano())
+		return nil
+	}
+	return a
 }
 
 // applyChunk mirrors one chunk durably, feeds the live applier, and acks

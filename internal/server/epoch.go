@@ -51,7 +51,7 @@ type Epoch struct {
 // Only the writer goroutine calls it; every array is freshly allocated so
 // publication hands the readers exclusively immutable data.
 func (s *Server) buildEpoch(seq uint64) *Epoch {
-	csr := s.dvEng.Live().Freeze()
+	csr := s.g.Freeze()
 	dist, next := s.routeSrc.RouteLabels()
 	mis := s.misSrc.MISLabels()
 	n := csr.N()

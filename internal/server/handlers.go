@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -317,19 +318,38 @@ type mutateResponse struct {
 	Queued   int `json:"queued"`
 }
 
+// maxOpBytes is the body budget per queueable op: a compact op such as
+// {"op":"remove","u":1048575,"v":1048575} is under 50 bytes, and the rest
+// is room for whitespace.
+const maxOpBytes = 128
+
 // handleMutate validates and enqueues a mutation batch for the writer. The
 // enqueue is non-blocking: a full queue sheds the remainder with 429 (the
-// response reports how many ops were accepted before the queue filled).
+// response reports how many ops were accepted before the queue filled). A
+// post with more ops than the queue plus the writer's batch in hand can
+// hold, or a body larger than that many ops can take, could never be
+// accepted whole; it is refused with 413 before anything is enqueued.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		return writeError(w, http.StatusMethodNotAllowed, "mutate requires POST")
 	}
+	maxOps := s.cfg.QueueDepth + s.cfg.BatchMax
+	r.Body = http.MaxBytesReader(w, r.Body, int64(maxOps+1)*maxOpBytes)
 	var req mutateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("body over %d bytes", tooLarge.Limit))
+		}
 		return writeError(w, http.StatusBadRequest, "malformed body: "+err.Error())
 	}
 	if len(req.Ops) == 0 {
 		return writeError(w, http.StatusBadRequest, "empty ops")
+	}
+	if len(req.Ops) > maxOps {
+		return writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("%d ops exceed the %d the mutation queue and writer can hold", len(req.Ops), maxOps))
 	}
 	for _, m := range req.Ops {
 		if m.Op != "add" && m.Op != "remove" {

@@ -67,6 +67,9 @@ type Config struct {
 	// WAL, when set, journals every mutation batch before it is healed or
 	// published: a batch reaches the write-ahead log (fsynced per the log's
 	// policy) first, so a crash at any later point replays it on restart.
+	// The log's replica (WAL.Graph) is then the server's one topology, and
+	// WAL.Append its only mutator; the graph passed to New must hold the
+	// same topology.
 	// A journaling error aborts the batch and stops the writer — the server
 	// keeps serving the last published epoch, but no further epoch may be
 	// built on state the log could not record. The caller owns the log's
@@ -119,12 +122,12 @@ type Server struct {
 	sem   chan struct{} // concurrency-limit semaphore, non-blocking acquire
 	mutCh chan Mutation
 
-	// One supervisor per maintained structure, each over its own clone of
-	// the topology. All three apply identical event batches; acceptance is
-	// purely topological (self-loop / duplicate-add / missing-remove), so
-	// the clones stay in lockstep.
+	// g is the one writer-owned topology: the WAL's replica when
+	// journaling, else a private copy of the graph New was given. The
+	// writer applies each batch to it once, then every supervisor heals
+	// its structure over it.
+	g            *graph.Graph
 	dv, mis, cds *heal.Supervisor
-	dvEng        heal.Engine
 
 	routeSrc interface{ RouteLabels() ([]float64, []int) }
 	misSrc   interface{ MISLabels() []bool }
@@ -154,10 +157,11 @@ type khopScratch struct {
 	queue []int32
 }
 
-// New builds a Server over g (cloned per engine; the caller's graph is not
-// retained), heals nothing — the initial labels come from scratch
-// construction — and publishes epoch 1. The writer goroutine starts
-// immediately; call Shutdown to stop it.
+// New builds a Server over g and publishes epoch 1. Without a WAL the
+// server works on a private copy of g; with one it works on cfg.WAL.Graph(),
+// and g must hold the same topology. The initial labels come from scratch
+// construction, or from cfg.Recovered's label epoch healed over its dirty
+// set. The writer goroutine starts immediately; call Shutdown to stop it.
 func New(g *graph.Graph, cfg Config) (*Server, error) {
 	start := time.Now()
 	if g == nil || g.N() == 0 {
@@ -170,8 +174,13 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: dest %d out of range [0,%d)", cfg.Dest, g.N())
 	}
 	cfg.setDefaults()
+	g, err := writerGraph(g, cfg.WAL)
+	if err != nil {
+		return nil, err
+	}
 
 	s := &Server{
+		g:          g,
 		cfg:        cfg,
 		n:          g.N(),
 		sem:        make(chan struct{}, cfg.MaxInFlight),
@@ -189,39 +198,34 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 	// labelNs times label *acquisition* — the phase durable label epochs
 	// exist to shorten: full recompute (BFS, greedy MIS, invariant sweep)
 	// when no epoch survived, versus seeding engines from recovered labels
-	// and healing only the dirty set. Graph clones are hoisted out of the
-	// timed spans because both paths pay them identically; label_ns is the
-	// recompute-vs-replay comparison, ready_ns the total boot wall time.
+	// and healing only the dirty set. label_ns is the recompute-vs-replay
+	// comparison, ready_ns the total boot wall time.
 	var labelNs int64
-	dvG, misG := g.Clone(), g.Clone()
-
 	var dvEng, misEng heal.Engine
-	var err error
 	labelStart := time.Now()
 	if labels != nil {
 		next := make([]int, len(labels.Next))
 		for i, v := range labels.Next {
 			next[i] = int(v)
 		}
-		dvEng, err = heal.NewDistVecEngineFromLabels(dvG, cfg.Dest, labels.Dist, next)
+		dvEng, err = heal.NewDistVecEngineFromLabels(g, cfg.Dest, labels.Dist, next)
 	} else {
-		dvEng, err = heal.NewDistVecEngineOver(dvG, cfg.Dest)
+		dvEng, err = heal.NewDistVecEngineOver(g, cfg.Dest)
 	}
 	if err != nil {
 		s.cancel()
 		return nil, fmt.Errorf("server: distvec engine: %w", err)
 	}
 	if labels != nil {
-		misEng, err = heal.NewMISEngineFromLabels(misG, labels.MIS)
+		misEng, err = heal.NewMISEngineFromLabels(g, labels.MIS)
 	} else {
-		misEng, err = heal.NewMISEngineOver(misG)
+		misEng, err = heal.NewMISEngineOver(g)
 	}
 	labelNs += time.Since(labelStart).Nanoseconds()
 	if err != nil {
 		s.cancel()
 		return nil, fmt.Errorf("server: mis engine: %w", err)
 	}
-	s.dvEng = dvEng
 	s.routeSrc = dvEng.(interface{ RouteLabels() ([]float64, []int) })
 	s.misSrc = misEng.(interface{ MISLabels() []bool })
 	s.dv = &heal.Supervisor{Engine: dvEng, Budget: cfg.RepairBudget, Ctx: s.ctx}
@@ -230,10 +234,9 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 	if cfg.SkipCDS {
 		s.cdsErr = "disabled by config"
 	} else {
-		cdsG := g.Clone()
 		labelStart = time.Now()
 		if labels != nil && labels.HasCDS {
-			cdsEng, cerr := heal.NewCDSEngineFromLabels(cdsG, labels.CDS)
+			cdsEng, cerr := heal.NewCDSEngineFromLabels(g, labels.CDS)
 			labelNs += time.Since(labelStart).Nanoseconds()
 			if cerr != nil {
 				s.cancel()
@@ -241,7 +244,7 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 			}
 			s.cdsSrc = cdsEng.(interface{ CDSMembers() []int })
 			s.cds = &heal.Supervisor{Engine: cdsEng, Budget: cfg.RepairBudget, Ctx: s.ctx}
-		} else if cdsEng, cerr := heal.NewCDSEngineOver(cdsG); cerr != nil {
+		} else if cdsEng, cerr := heal.NewCDSEngineOver(g); cerr != nil {
 			// No CDS exists (disconnected support). The backbone is optional:
 			// serve everything else and report why it is absent.
 			labelNs += time.Since(labelStart).Nanoseconds()
@@ -323,6 +326,22 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 	s.routes()
 	go s.writer()
 	return s, nil
+}
+
+// writerGraph returns the one topology the writer mutates and every engine
+// reads. With a WAL it is the log's replica, which must hold the same
+// topology as g: the same graph, or an equal one by wal.GraphHash. Without
+// one it is a private copy of g, so the caller's graph is never mutated.
+func writerGraph(g *graph.Graph, l *wal.Log) (*graph.Graph, error) {
+	if l == nil {
+		return g.Clone(), nil
+	}
+	lg := l.Graph()
+	if lg != g && (lg.M() != g.M() || wal.GraphHash(lg) != wal.GraphHash(g)) {
+		return nil, fmt.Errorf("server: graph (%d nodes, %d edges) does not match the WAL's topology (%d nodes, %d edges)",
+			g.N(), g.M(), lg.N(), lg.M())
+	}
+	return lg, nil
 }
 
 // recoveredLabels returns the recovery report's label epoch when it is
@@ -445,41 +464,40 @@ func (s *Server) writer() {
 	}
 }
 
-// applyBatch heals one mutation batch through every supervisor and publishes
-// the resulting epoch. It reports false when the batch could not be made
-// durable or shutdown cancelled the heal — the labels may be mid-repair, so
-// nothing is published.
+// applyBatch applies one mutation batch to the topology, heals it through
+// every supervisor and publishes the resulting epoch. It reports false when
+// the batch could not be made durable or shutdown cancelled the heal — the
+// labels may be mid-repair, so nothing is published.
 func (s *Server) applyBatch(batch []Mutation) bool {
+	events := make([]sim.Event, len(batch))
+	recs := make([]wal.Record, len(batch))
+	for i, m := range batch {
+		op, t := sim.OpAddEdge, wal.TAddEdge
+		if m.Op == "remove" {
+			op, t = sim.OpRemoveEdge, wal.TRemoveEdge
+		}
+		events[i] = sim.Event{Round: 1, Op: op, U: m.U, V: m.V}
+		recs[i] = wal.Record{Type: t, U: int32(m.U), V: int32(m.V), Weight: 1}
+	}
 	if s.cfg.WAL != nil {
 		// Write-ahead: the batch is journaled (and fsynced per policy)
-		// before any label moves. The log applies the same topological
-		// acceptance rule as the engines, so its replica and the serving
-		// clones stay in lockstep, and replay-on-restart reconstructs
-		// exactly the topology the published epoch was built from.
-		recs := make([]wal.Record, 0, len(batch))
-		for _, m := range batch {
-			t := wal.TAddEdge
-			if m.Op == "remove" {
-				t = wal.TRemoveEdge
-			}
-			recs = append(recs, wal.Record{Type: t, U: int32(m.U), V: int32(m.V), Weight: 1})
-		}
+		// before any label moves, and Append applies it to the log's
+		// replica — the topology every engine reads — under the graph's
+		// acceptance rule, so replay-on-restart reconstructs exactly the
+		// topology the published epoch is built from.
 		if _, err := s.cfg.WAL.Append(recs); err != nil {
 			s.met.walFailed.Add(1)
 			s.met.abortedBatches.Add(1)
 			return false
 		}
-	}
-	events := make([]sim.Event, 0, len(batch))
-	for _, m := range batch {
-		op := sim.OpAddEdge
-		if m.Op == "remove" {
-			op = sim.OpRemoveEdge
+	} else {
+		for _, e := range events {
+			e.ApplyEdge(s.g)
 		}
-		events = append(events, sim.Event{Round: 1, Op: op, U: m.U, V: m.V})
 	}
+	// The whole batch is applied before any engine hears of it.
 	for _, sup := range s.supervisors() {
-		rep, err := sup.ApplyBatch(events)
+		rep, err := sup.HealBatch(events)
 		if rep != nil {
 			s.met.repairs.Add(uint64(rep.Repairs))
 			s.met.escalations.Add(uint64(rep.Escalations))

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"structura/internal/gen"
+	"structura/internal/graph"
 	"structura/internal/stats"
 )
 
@@ -258,14 +259,20 @@ func TestRouteAgreesWithBFS(t *testing.T) {
 		t.Fatalf("mutate status %d", code)
 	}
 	awaitQuiesced(t, srv)
+	requireRoutesMatchBFS(t, srv.Handler(), mirror, 0)
+}
 
-	wantDist, _, err := mirror.BFS(0)
+// requireRoutesMatchBFS checks every node's /route answer against a BFS
+// over g toward dest: the hop count, and a path of that many real edges.
+func requireRoutesMatchBFS(t *testing.T, h http.Handler, g *graph.Graph, dest int) {
+	t.Helper()
+	wantDist, _, err := g.BFS(dest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := 0; v < n; v++ {
+	for v := 0; v < g.N(); v++ {
 		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(
+		h.ServeHTTP(rec, httptest.NewRequest(
 			http.MethodGet, fmt.Sprintf("/route?from=%d", v), nil))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("route %d: status %d", v, rec.Code)
@@ -288,7 +295,7 @@ func TestRouteAgreesWithBFS(t *testing.T) {
 			t.Fatalf("route %d: path %v has %d hops, want %v", v, resp.Path, len(resp.Path)-1, want)
 		}
 		for i := 0; i+1 < len(resp.Path); i++ {
-			if !mirror.HasEdge(resp.Path[i], resp.Path[i+1]) {
+			if !g.HasEdge(resp.Path[i], resp.Path[i+1]) {
 				t.Fatalf("route %d: path step (%d,%d) is not an edge", v, resp.Path[i], resp.Path[i+1])
 			}
 		}

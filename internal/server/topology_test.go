@@ -1,0 +1,219 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"structura/internal/gen"
+	"structura/internal/graph"
+	"structura/internal/stats"
+	"structura/internal/wal"
+)
+
+// chordedRing is a connected 30-node support (so the CDS engine runs too).
+func chordedRing() *graph.Graph {
+	g := gen.Ring(30)
+	r := stats.NewRand(5)
+	for g.M() < 45 {
+		g.TryAddEdge(r.Intn(30), r.Intn(30), 1)
+	}
+	return g
+}
+
+// nonEdge returns the first node pair (u<v) with no edge between them.
+func nonEdge(g *graph.Graph) (int, int) {
+	for u := 0; u < g.N(); u++ {
+		for v := u + 1; v < g.N(); v++ {
+			if !g.HasEdge(u, v) {
+				return u, v
+			}
+		}
+	}
+	panic("complete graph")
+}
+
+// sharedServer builds a CDS-enabled server journaling to a MemFS WAL. The
+// graph handed to New is the caller's, a different pointer from the log's
+// replica but the same topology.
+func sharedServer(t *testing.T) (*Server, *wal.Log) {
+	t.Helper()
+	g := chordedRing()
+	l, err := wal.Create("store", g, wal.Options{FS: wal.NewMemFS(), CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(g, Config{Dest: 0, WAL: l})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+		_ = l.Close()
+	})
+	return s, l
+}
+
+// TestSupervisorsShareTheWALGraph pins the one-topology contract: with a
+// WAL, every supervisor's engine reads the log's replica itself.
+func TestSupervisorsShareTheWALGraph(t *testing.T) {
+	s, l := sharedServer(t)
+	if s.cds == nil {
+		t.Fatalf("CDS engine absent: %s", s.cdsErr)
+	}
+	for _, sup := range s.supervisors() {
+		if sup.Engine.Live() != l.Graph() {
+			t.Fatalf("%s engine reads its own graph, not the WAL's", sup.Engine.Name())
+		}
+	}
+	if s.g != l.Graph() {
+		t.Fatal("writer topology is not the WAL's graph")
+	}
+}
+
+// TestBatchEdgeCasesOnSharedTopology drives one batch holding a duplicate
+// add, a missing remove, and a remove-then-re-add of a node's current
+// next-hop edge. The engines hear of it only after the log applied all of
+// it, and the published epoch must still match the log's topology and
+// route along BFS shortest paths.
+func TestBatchEdgeCasesOnSharedTopology(t *testing.T) {
+	s, l := sharedServer(t)
+	g := l.Graph()
+	ep := s.Epoch()
+	x := -1
+	for v := 1; v < g.N(); v++ {
+		if ep.RouteNext[v] >= 0 {
+			x = v
+			break
+		}
+	}
+	if x < 0 {
+		t.Fatal("no node with a next hop")
+	}
+	y := ep.RouteNext[x]
+	dup := g.Edges()[0]
+	missU, missV := nonEdge(g)
+
+	// Park the writer on a first op so the whole second post drains as one
+	// batch. Once parked is closed the hook returns at once.
+	parked := make(chan struct{})
+	s.testHookBatch = func() { <-parked }
+	if code := postMutations(t, s.Handler(), []Mutation{{Op: "add", U: dup.From, V: dup.To}}); code != http.StatusAccepted {
+		t.Fatalf("first mutate: status %d", code)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(s.mutCh) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("writer never picked up the first op")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	batch := []Mutation{
+		{Op: "add", U: dup.From, V: dup.To},
+		{Op: "remove", U: missU, V: missV},
+		{Op: "remove", U: x, V: y},
+		{Op: "add", U: x, V: y},
+	}
+	if code := postMutations(t, s.Handler(), batch); code != http.StatusAccepted {
+		t.Fatalf("batch mutate: status %d", code)
+	}
+	close(parked)
+	awaitQuiesced(t, s)
+	if got := s.Epoch().Seq; got != ep.Seq+2 {
+		t.Fatalf("epoch %d after two batches from %d", got, ep.Seq)
+	}
+
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/labels?hash=1", nil))
+	var sum summaryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &sum); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%016x", wal.GraphHash(g)); sum.GraphHash != want {
+		t.Fatalf("/labels graph_hash %s, WAL topology %s", sum.GraphHash, want)
+	}
+	requireRoutesMatchBFS(t, s.Handler(), g, 0)
+	for _, sup := range s.supervisors() {
+		if v := sup.Sweep(); len(v) != 0 {
+			t.Fatalf("%s: %d standing violation(s), first %s", sup.Engine.Name(), len(v), v[0])
+		}
+	}
+}
+
+// TestNewRejectsTopologyMismatch: New must refuse a graph whose topology
+// differs from the WAL's — by size, or by edges at equal size — and accept
+// an equal copy.
+func TestNewRejectsTopologyMismatch(t *testing.T) {
+	g := chordedRing()
+	l, err := wal.Create("store", g, wal.Options{FS: wal.NewMemFS(), CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	u, v := nonEdge(g)
+	extra := g.Clone()
+	extra.TryAddEdge(u, v, 1)
+	swapped := g.Clone()
+	e := swapped.Edges()[0]
+	swapped.RemoveEdge(e.From, e.To)
+	swapped.TryAddEdge(u, v, 1)
+	for name, bad := range map[string]*graph.Graph{"extra edge": extra, "swapped edge": swapped} {
+		if wal.GraphHash(bad) == wal.GraphHash(g) {
+			t.Fatalf("%s: fixture equals the log's graph", name)
+		}
+		if s, err := New(bad, Config{WAL: l, SkipCDS: true}); err == nil {
+			s.Shutdown(context.Background())
+			t.Fatalf("%s: New accepted a graph that differs from the WAL's", name)
+		}
+	}
+	s, err := New(g.Clone(), Config{WAL: l, SkipCDS: true})
+	if err != nil {
+		t.Fatalf("equal copy rejected: %v", err)
+	}
+	s.Shutdown(context.Background())
+}
+
+// TestMutateRefusesOversizedPosts: a post with more ops than the queue
+// plus one writer batch hold, or a body larger than that many ops can take,
+// gets 413, enqueues nothing, and the server keeps serving.
+func TestMutateRefusesOversizedPosts(t *testing.T) {
+	s, err := New(chordedRing(), Config{SkipCDS: true, QueueDepth: 8, BatchMax: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+
+	ops := make([]Mutation, 13)
+	for i := range ops {
+		ops[i] = Mutation{Op: "add", U: i, V: i + 14}
+	}
+	if code := postMutations(t, s.Handler(), ops); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("13 ops past a queue of 8 and batches of 4: status %d, want 413", code)
+	}
+	padded := `{"ops":[{"op":"add","u":1,"v":12}]` + strings.Repeat(" ", 2048) + `}`
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/mutate", strings.NewReader(padded)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413: %s", rec.Code, rec.Body.String())
+	}
+	if got := s.accepted.Load(); got != 0 {
+		t.Fatalf("%d op(s) enqueued by refused posts", got)
+	}
+	if code := postMutations(t, s.Handler(), ops[:8]); code != http.StatusAccepted {
+		t.Fatalf("8 ops after refusals: status %d", code)
+	}
+	awaitQuiesced(t, s)
+	rec = httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/labels", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/labels after refusals: status %d", rec.Code)
+	}
+}

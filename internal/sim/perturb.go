@@ -94,16 +94,8 @@ func (p *Perturber) BeforeRound(round int, g *graph.CSR) runtime.Perturbation {
 
 	apply := func(e Event) {
 		switch e.Op {
-		case OpAddEdge:
-			if e.U == e.V || p.live.HasEdge(e.U, e.V) {
-				return
-			}
-			if p.live.AddEdge(e.U, e.V) != nil {
-				return
-			}
-			topoChanged = true
-		case OpRemoveEdge:
-			if !p.live.RemoveEdge(e.U, e.V) {
+		case OpAddEdge, OpRemoveEdge:
+			if !e.ApplyEdge(p.live) {
 				return
 			}
 			topoChanged = true
@@ -159,7 +151,7 @@ func (p *Perturber) BeforeRound(round int, g *graph.CSR) runtime.Perturbation {
 			for i := 0; i < p.sch.ChurnAdd; i++ {
 				for try := 0; try < 16; try++ {
 					u, v := p.rng.IntN(p.n), p.rng.IntN(p.n)
-					if u == v || p.live.HasEdge(u, v) {
+					if !p.live.CanAddEdge(u, v) {
 						continue
 					}
 					apply(Event{Op: OpAddEdge, U: u, V: v})
@@ -359,7 +351,7 @@ func (f *FaultStream) RoundEvents(round int, live *graph.Graph) []Event {
 			for i := 0; i < f.sch.ChurnAdd; i++ {
 				for try := 0; try < 16; try++ {
 					u, v := f.rng.IntN(n), f.rng.IntN(n)
-					if u == v || live.HasEdge(u, v) {
+					if !live.CanAddEdge(u, v) {
 						continue
 					}
 					emit(Event{Op: OpAddEdge, U: u, V: v})

@@ -140,15 +140,8 @@ func runCDSScenario(seed uint64, sch Schedule, workers int) (*World, error) {
 	for round := 1; round <= fs.MaxRound(); round++ {
 		applied := 0
 		for _, e := range fs.RoundEvents(round, live) {
-			switch e.Op {
-			case OpAddEdge:
-				if e.U != e.V && !live.HasEdge(e.U, e.V) && live.AddEdge(e.U, e.V) == nil {
-					applied++
-				}
-			case OpRemoveEdge:
-				if live.RemoveEdge(e.U, e.V) {
-					applied++
-				}
+			if e.ApplyEdge(live) {
+				applied++
 			}
 		}
 		if applied > 0 {

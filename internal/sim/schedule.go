@@ -20,6 +20,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+
+	"structura/internal/graph"
 )
 
 // Event operation kinds. Every probabilistic fault the Perturber draws is
@@ -40,6 +42,20 @@ type Event struct {
 	U     int    `json:"u"`
 	V     int    `json:"v,omitempty"`
 	For   int    `json:"for,omitempty"` // crash/skip duration in rounds (default 1)
+}
+
+// ApplyEdge applies an add-edge or remove-edge event to g under the graph's
+// edge-acceptance rule (graph.Graph.TryAddEdge, graph.Graph.RemoveEdge) and
+// reports whether it applied. Every other op leaves g alone and reports
+// false.
+func (e Event) ApplyEdge(g *graph.Graph) bool {
+	switch e.Op {
+	case OpAddEdge:
+		return g.TryAddEdge(e.U, e.V, 1)
+	case OpRemoveEdge:
+		return g.RemoveEdge(e.U, e.V)
+	}
+	return false
 }
 
 func (e Event) String() string {

@@ -40,12 +40,9 @@ func ChordalRing(n, chords int, seed uint64) *graph.Graph {
 	rng := rand.New(rand.NewPCG(seed, 0x5851F42D4C957F2D))
 	for i := 0; i < chords; i++ {
 		for try := 0; try < 32; try++ {
-			u, v := rng.IntN(n), rng.IntN(n)
-			if u == v || g.HasEdge(u, v) {
-				continue
+			if g.TryAddEdge(rng.IntN(n), rng.IntN(n), 1) {
+				break
 			}
-			_ = g.AddEdge(u, v)
-			break
 		}
 	}
 	return g

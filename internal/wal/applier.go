@@ -8,37 +8,47 @@ import (
 	"structura/internal/graph"
 )
 
-// Applier consumes a WAL byte stream incrementally — the replica's live
-// half of recovery. Feed it arbitrary prefixes of a log generation's frame
-// stream (everything after the header) and it applies committed batches and
-// label deltas exactly as replayLog would, buffering partial frames until
-// the rest arrives. Because the replicated stream is a byte-for-byte prefix
-// of the primary's durable log, a mid-frame cut is always "need more
-// bytes", never damage; a CRC or framing violation means the stream itself
-// is corrupt and the owner must resync.
+// Applier is the log's one commit state machine: it consumes a log
+// generation's frame stream (everything after the header) and applies
+// committed batches and label deltas to a base state. Recovery feeds it a
+// whole log file and truncates at the last sealed batch when the stream
+// breaks off; a replica feeds it arbitrary prefixes of the primary's
+// stream as they arrive. A partial trailing frame is buffered until the
+// rest arrives — for a replica, whose stream is a byte-for-byte prefix of
+// the primary's durable log, a mid-frame cut is always "need more bytes".
+// A framing, checksum or sealing violation fails Feed: the rest of the
+// stream is unusable.
 type Applier struct {
 	G      *graph.Graph
 	Labels *LabelSet
 
-	Seq     uint64 // last committed batch applied
-	Batches int    // committed batches applied
-	Records uint64 // mutation records applied
-	Ignored int    // label deltas skipped (stamped ahead of topology, or unusable)
+	Seq          uint64 // last committed batch applied
+	Batches      int    // committed batches applied
+	Records      uint64 // mutation records sealed by the applied batches
+	LabelRecords int    // label deltas applied
+	Ignored      int    // label deltas skipped (stamped ahead of topology, or unusable)
 
-	// OnCommit, when set, observes every committed batch seq as it
-	// applies — the replica's staleness clock.
-	OnCommit func(seq uint64)
+	// OnCommit, when set, observes every committed batch as it applies:
+	// its commit marker and those of its records that changed the graph
+	// (the slice is reused after the call returns). A non-nil error stops
+	// Feed, which returns it unwrapped. The replica's staleness clock and
+	// Replay's callback both run here.
+	OnCommit func(commit Record, applied []Record) error
 
+	off     int64 // log file offset of buf[0]
+	sealed  int64 // log file offset just past the last batch-sealing or between-batch frame
 	pending []Record
+	applied []Record
 	touched []batchTouched
 	buf     []byte
 }
 
 // NewApplier starts an applier over a recovered base state: g and labels
 // come from the snapshot (labels may be nil), seq is the batch the base
-// reflects.
+// reflects. Offsets in its errors count from the start of the log file,
+// whose header the caller strips before feeding.
 func NewApplier(g *graph.Graph, labels *LabelSet, seq uint64) *Applier {
-	return &Applier{G: g, Labels: labels, Seq: seq}
+	return &Applier{G: g, Labels: labels, Seq: seq, off: logHeaderLen, sealed: logHeaderLen}
 }
 
 // Buffered returns how many bytes of an incomplete trailing frame are
@@ -46,30 +56,45 @@ func NewApplier(g *graph.Graph, labels *LabelSet, seq uint64) *Applier {
 func (a *Applier) Buffered() int { return len(a.buf) }
 
 // Feed consumes p: every complete frame is parsed and applied, a trailing
-// partial frame is buffered for the next call. Any framing or checksum
-// violation fails the whole stream (the caller resyncs from a snapshot).
+// partial frame is buffered for the next call. Any framing, checksum or
+// sealing violation fails the rest of the stream: a replica resyncs from a
+// snapshot, recovery truncates at the last sealed batch.
 func (a *Applier) Feed(p []byte) error {
-	a.buf = append(a.buf, p...)
+	data := p
+	if len(a.buf) > 0 {
+		a.buf = append(a.buf, p...)
+		data = a.buf
+	}
 	off := 0
+	defer func() {
+		a.off += int64(off)
+		a.buf = append(a.buf[:0], data[off:]...)
+	}()
 	for {
-		n, complete, err := frameLen(a.buf[off:])
+		n, complete, err := frameLen(data[off:])
+		var r Record
+		if err == nil && complete {
+			if r, _, err = readFrame(data[off : off+n]); err == nil {
+				err = a.apply(r)
+			}
+		}
 		if err != nil {
-			return fmt.Errorf("wal: replicated stream: %w", err)
+			return fmt.Errorf("wal: at log offset %d: %w", a.off+int64(off), err)
 		}
 		if !complete {
-			break
-		}
-		r, _, err := readFrame(a.buf[off : off+n])
-		if err != nil {
-			return fmt.Errorf("wal: replicated stream: %w", err)
-		}
-		if aerr := a.apply(r); aerr != nil {
-			return aerr
+			return nil
 		}
 		off += n
+		if len(a.pending) > 0 {
+			continue
+		}
+		a.sealed = a.off + int64(off)
+		if r.Type == TCommit && a.OnCommit != nil {
+			if err := a.OnCommit(r, a.applied); err != nil {
+				return err
+			}
+		}
 	}
-	a.buf = append(a.buf[:0], a.buf[off:]...)
-	return nil
 }
 
 // frameLen inspects a frame header without decoding the payload: it
@@ -105,6 +130,7 @@ func (a *Applier) apply(r Record) error {
 			a.Ignored++
 			return nil
 		}
+		a.LabelRecords++
 		a.pruneTouched()
 		return nil
 	case TCommit:
@@ -113,6 +139,7 @@ func (a *Applier) apply(r Record) error {
 				ErrTorn, r.Seq, r.Count, a.Seq+1, len(a.pending))
 		}
 		var nodes []int32
+		a.applied = a.applied[:0]
 		for _, pr := range a.pending {
 			if pr.Type == TRemoveNode && int(pr.U) >= 0 && int(pr.U) < a.G.N() {
 				for _, nb := range a.G.Neighbors(int(pr.U)) {
@@ -128,6 +155,7 @@ func (a *Applier) apply(r Record) error {
 				default:
 					nodes = append(nodes, pr.U, pr.V)
 				}
+				a.applied = append(a.applied, pr)
 			}
 		}
 		a.Seq = r.Seq
@@ -135,9 +163,6 @@ func (a *Applier) apply(r Record) error {
 		a.Records += uint64(len(a.pending))
 		a.touched = append(a.touched, batchTouched{seq: r.Seq, nodes: nodes})
 		a.pending = a.pending[:0]
-		if a.OnCommit != nil {
-			a.OnCommit(r.Seq)
-		}
 		return nil
 	default:
 		a.pending = append(a.pending, r)

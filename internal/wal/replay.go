@@ -120,12 +120,78 @@ func replayDir(fsys FS, dir string, fn func(Record) error) (*graph.Graph, Recove
 	case lerr != nil:
 		return nil, rec, lerr
 	default:
-		if err := replayLog(logData, g, &rec, fn); err != nil {
+		if err := recoverLog(logData, g, &rec, fn); err != nil {
 			return nil, rec, err
 		}
 	}
 	rec.Nodes = g.N()
 	return g, rec, nil
+}
+
+// recoverLog feeds the frames of one log generation to an Applier over the
+// snapshot state in g and rec, truncating at the last sealed batch where
+// the stream breaks off. Only a callback error can fail it.
+func recoverLog(data []byte, g *graph.Graph, rec *Recovery, fn func(Record) error) error {
+	gen, startSeq, startCum, err := decodeLogHeader(data)
+	if err != nil {
+		// The header is written and fsynced before the superblock ever
+		// references the generation; a torn header means the superblock
+		// swap itself was interrupted in a way rename atomicity excludes,
+		// so treat it as an empty suffix rather than failing recovery.
+		rec.TruncatedAt = 0
+		rec.Reason = fmt.Sprintf("unreadable log header: %v", err)
+		return nil
+	}
+	if startSeq != rec.SnapshotSeq || startCum != rec.Records || (rec.Gen != 0 && gen != rec.Gen) {
+		rec.TruncatedAt = 0
+		rec.Reason = fmt.Sprintf("log generation (gen %d, seq %d, cum %d) does not match superblock (gen %d, seq %d, cum %d)",
+			gen, startSeq, startCum, rec.Gen, rec.SnapshotSeq, rec.Records)
+		return nil
+	}
+
+	a := NewApplier(g, rec.Labels, rec.Seq)
+	var stop error
+	if fn != nil {
+		a.OnCommit = func(commit Record, applied []Record) error {
+			for _, r := range applied {
+				if stop = fn(r); stop != nil {
+					return stop
+				}
+			}
+			stop = fn(commit)
+			return stop
+		}
+	}
+	switch ferr := a.Feed(data[logHeaderLen:]); {
+	case stop != nil:
+		if !errors.Is(stop, ErrStopReplay) {
+			return stop
+		}
+	case ferr != nil:
+		rec.TruncatedAt, rec.Reason = a.sealed, ferr.Error()
+	case len(a.pending) > 0:
+		rec.TruncatedAt = a.sealed
+		rec.Reason = fmt.Sprintf("%d record(s) after the last commit marker", len(a.pending))
+	case a.Buffered() > 0:
+		rec.TruncatedAt = a.sealed
+		rec.Reason = fmt.Sprintf("torn frame at offset %d", a.sealed)
+	}
+	rec.Seq = a.Seq
+	rec.Batches = a.Batches
+	rec.Replayed = int(a.Records)
+	rec.Records += a.Records
+	rec.LabelRecords, rec.LabelsIgnored = a.LabelRecords, a.Ignored
+	rec.Labels = nil
+	if a.UsableLabels() {
+		rec.Labels, rec.Dirty = a.Labels, a.Dirty()
+	} else if a.Labels != nil {
+		// A recovered label epoch that cannot describe the recovered graph
+		// (node count drifted with no covering Reset delta) is unusable;
+		// drop it rather than warm-start from a mismatched array.
+		rec.LabelsIgnored += rec.LabelRecords
+		rec.LabelRecords = 0
+	}
+	return nil
 }
 
 // batchTouched records which nodes one committed batch mutated, so the
@@ -153,136 +219,4 @@ func dirtyAfter(touched []batchTouched, labelSeq uint64) []int {
 		}
 	}
 	return out
-}
-
-// replayLog applies the committed-batch prefix of one log generation to g,
-// truncating at the first torn or inconsistent record. Only a bad header or
-// a callback error can fail it; everything else is a truncation point.
-func replayLog(data []byte, g *graph.Graph, rec *Recovery, fn func(Record) error) error {
-	gen, startSeq, startCum, err := decodeLogHeader(data)
-	if err != nil {
-		// The header is written and fsynced before the superblock ever
-		// references the generation; a torn header means the superblock
-		// swap itself was interrupted in a way rename atomicity excludes,
-		// so treat it as an empty suffix rather than failing recovery.
-		rec.TruncatedAt = 0
-		rec.Reason = fmt.Sprintf("unreadable log header: %v", err)
-		return nil
-	}
-	if startSeq != rec.SnapshotSeq || startCum != rec.Records || (rec.Gen != 0 && gen != rec.Gen) {
-		rec.TruncatedAt = 0
-		rec.Reason = fmt.Sprintf("log generation (gen %d, seq %d, cum %d) does not match superblock (gen %d, seq %d, cum %d)",
-			gen, startSeq, startCum, rec.Gen, rec.SnapshotSeq, rec.Records)
-		return nil
-	}
-
-	off := int64(logHeaderLen)
-	pending := make([]Record, 0, 64)
-	var touched []batchTouched
-	var batchNodes []int32
-	pendingStart := off
-	for int(off) < len(data) {
-		r, n, ferr := readFrame(data[off:])
-		if ferr != nil {
-			rec.TruncatedAt = pendingStart
-			rec.Reason = fmt.Sprintf("at offset %d: %v", off, ferr)
-			break
-		}
-		if r.Type == TLabelDelta {
-			// Label records live between batches, right after the commit
-			// marker of the batch they reflect; one inside a pending batch
-			// is stream damage.
-			if len(pending) > 0 {
-				rec.TruncatedAt = pendingStart
-				rec.Reason = fmt.Sprintf("at offset %d: label record inside an uncommitted batch", off)
-				break
-			}
-			// Never let recovered labels run ahead of the durable
-			// topology: a delta stamped past the replayed seq is skipped.
-			if r.Label.Seq > rec.Seq {
-				rec.LabelsIgnored++
-			} else {
-				if rec.Labels == nil {
-					rec.Labels = &LabelSet{}
-				}
-				if applyLabelDelta(rec.Labels, r.Label) {
-					rec.LabelRecords++
-				} else {
-					rec.LabelsIgnored++
-				}
-			}
-			off += int64(n)
-			pendingStart = off
-			continue
-		}
-		if r.Type != TCommit {
-			pending = append(pending, r)
-			off += int64(n)
-			continue
-		}
-		if r.Seq != rec.Seq+1 || int(r.Count) != len(pending) {
-			rec.TruncatedAt = pendingStart
-			rec.Reason = fmt.Sprintf("at offset %d: commit marker (seq %d, count %d) does not seal batch %d of %d record(s)",
-				off, r.Seq, r.Count, rec.Seq+1, len(pending))
-			break
-		}
-		batchNodes = batchNodes[:0]
-		for _, pr := range pending {
-			if pr.Type == TRemoveNode && int(pr.U) >= 0 && int(pr.U) < g.N() {
-				for _, nb := range g.Neighbors(int(pr.U)) {
-					batchNodes = append(batchNodes, int32(nb))
-				}
-			}
-			if applyRecord(g, pr) {
-				switch pr.Type {
-				case TAddNode:
-					batchNodes = append(batchNodes, int32(g.N()-1))
-				case TRemoveNode:
-					batchNodes = append(batchNodes, pr.U)
-				default:
-					batchNodes = append(batchNodes, pr.U, pr.V)
-				}
-				if fn != nil {
-					if cerr := fn(pr); cerr != nil {
-						if errors.Is(cerr, ErrStopReplay) {
-							return nil
-						}
-						return cerr
-					}
-				}
-			}
-		}
-		rec.Seq = r.Seq
-		rec.Batches++
-		rec.Replayed += len(pending)
-		rec.Records += uint64(len(pending))
-		touched = append(touched, batchTouched{seq: r.Seq, nodes: append([]int32(nil), batchNodes...)})
-		pending = pending[:0]
-		off += int64(n)
-		pendingStart = off
-		if fn != nil {
-			if cerr := fn(r); cerr != nil {
-				if errors.Is(cerr, ErrStopReplay) {
-					return nil
-				}
-				return cerr
-			}
-		}
-	}
-	if !rec.Truncated() && len(pending) > 0 {
-		rec.TruncatedAt = pendingStart
-		rec.Reason = fmt.Sprintf("%d record(s) after the last commit marker", len(pending))
-	}
-	// A recovered label epoch that cannot describe the recovered graph
-	// (node count drifted with no covering Reset delta) is unusable; drop
-	// it rather than warm-start from a mismatched array.
-	if rec.Labels != nil && rec.Labels.N() != g.N() {
-		rec.Labels = nil
-		rec.LabelsIgnored += rec.LabelRecords
-		rec.LabelRecords = 0
-	}
-	if rec.Labels != nil {
-		rec.Dirty = dirtyAfter(touched, rec.Labels.Seq)
-	}
-	return nil
 }

@@ -238,8 +238,8 @@ func OpenOrCreate(dir string, g *graph.Graph, opts Options) (l *Log, rec Recover
 	return l, rec, false, err
 }
 
-// Graph returns the durable replica. The caller must treat it as read-only;
-// it advances only through Append.
+// Graph returns the durable replica. It advances only through Append; a
+// serving layer's engines share it as their one topology and only read it.
 func (l *Log) Graph() *graph.Graph { return l.g }
 
 // Seq returns the last committed batch sequence.
@@ -288,9 +288,9 @@ func (l *Log) publishMetrics() {
 
 // Append journals one mutation batch: every record is framed and written,
 // sealed by a commit marker, fsynced per policy, and applied to the durable
-// replica under the same topological acceptance rule the serving engines
-// use (self-loops, duplicate adds, and missing removes are logged but not
-// applied — replay makes the same decisions). Edge records are stamped with
+// replica under the graph's edge-acceptance rule (self-loops, duplicate
+// adds, and missing removes are logged but not applied — replay makes the
+// same decisions). Edge records are stamped with
 // the new batch sequence as their validity bound: adds open at it, removes
 // close at it. It returns the committed batch sequence.
 //
@@ -466,49 +466,34 @@ func (l *Log) Close() error {
 	return err
 }
 
-// applyRecord applies one mutation record to g under the topological
-// acceptance rule shared with the serving engines, reporting whether it
-// applied. The rule is deterministic, so log replay reconstructs the exact
-// replica.
+// applyRecord applies one mutation record to g under the graph's
+// edge-acceptance rule, reporting whether it applied. The rule is
+// deterministic, so log replay reconstructs the exact replica.
 func applyRecord(g *graph.Graph, r Record) bool {
-	n := g.N()
+	u, v := int(r.U), int(r.V)
 	switch r.Type {
 	case TAddNode:
 		g.AddNode()
 		return true
 	case TRemoveNode:
-		v := int(r.U)
-		if v < 0 || v >= n {
+		if u < 0 || u >= g.N() {
 			return false
 		}
-		for _, u := range g.Neighbors(v) {
-			g.RemoveEdge(v, u)
+		for _, w := range g.Neighbors(u) {
+			g.RemoveEdge(u, w)
 			if g.Directed() {
-				g.RemoveEdge(u, v)
+				g.RemoveEdge(w, u)
 			}
 		}
 		return true
 	case TAddEdge:
-		u, v := int(r.U), int(r.V)
-		if u < 0 || u >= n || v < 0 || v >= n || u == v || g.HasEdge(u, v) {
-			return false
-		}
-		return g.AddWeightedEdge(u, v, r.Weight) == nil
+		return g.TryAddEdge(u, v, r.Weight)
 	case TRemoveEdge:
-		u, v := int(r.U), int(r.V)
-		if u < 0 || u >= n || v < 0 || v >= n {
-			return false
-		}
 		return g.RemoveEdge(u, v)
 	case TWeight:
-		u, v := int(r.U), int(r.V)
-		if u < 0 || u >= n || v < 0 || v >= n || !g.HasEdge(u, v) {
-			return false
-		}
 		// The graph has no in-place weight update; remove + re-add is
 		// deterministic on both the live and the replay path.
-		g.RemoveEdge(u, v)
-		return g.AddWeightedEdge(u, v, r.Weight) == nil
+		return g.RemoveEdge(u, v) && g.TryAddEdge(u, v, r.Weight)
 	}
 	return false
 }
