@@ -17,7 +17,7 @@
 //	structura async -scenario distvec -seed 3 -loss 0.1 -delay bimodal
 //	structura async -scenario mis -seeds 1..8 -compare # sync-vs-async equivalence check
 //	structura partition -nodes 1000000 -shards 8 -strategy degree-balanced
-//	structura partition -shards 4 -delta -check        # sharded == unsharded gate
+//	structura partition -shards 4 -delta -workers 2    # priced exchange per round
 //	structura serve -nodes 100000 -addr :8372          # resident structure server
 //	structura serve -nodes 10000 -loadgen 200000       # in-process throughput smoke
 //	structura serve -data-dir p -repl-listen :9372     # primary serving the replication stream

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"reflect"
 	"time"
 
 	"structura/internal/gen"
@@ -16,9 +15,8 @@ import (
 // runPartition is the `structura partition` subcommand: generate a sparse ER
 // graph, split it into edge-cut shards, report the partition quality (cut
 // fraction, ghost fraction, imbalance), and run the distributed-max workload
-// on the sharded kernel to measure rounds/sec and the measured ghost-exchange
-// traffic. With -check the same workload also runs unsharded and the two
-// results are compared; any divergence is an error (nonzero exit).
+// on the round kernel, reporting rounds/sec and the exchange a sharded
+// deployment would ship (partition.Run's cost model).
 func runPartition(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("structura partition", flag.ContinueOnError)
 	var (
@@ -28,9 +26,8 @@ func runPartition(args []string, out io.Writer) error {
 		strategy = fs.String("strategy", "contiguous", "boundary placement: contiguous | degree-balanced")
 		rounds   = fs.Int("rounds", 15, "round budget for the workload")
 		delta    = fs.Bool("delta", false, "run the workload on the delta-frontier path")
-		workers  = fs.Int("workers", 0, "kernel worker count (0 = one per shard)")
+		workers  = fs.Int("workers", 0, "kernel worker count (0 = automatic)")
 		seed     = fs.Int64("seed", 1, "graph generation seed")
-		check    = fs.Bool("check", false, "also run unsharded and require bit-identical results")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -53,9 +50,7 @@ func runPartition(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var es partition.ExchangeStats
-	plan, err := partition.New(csr, *shards,
-		partition.WithStrategy(strat), partition.WithExchangeStats(&es))
+	plan, err := partition.New(csr, *shards, partition.WithStrategy(strat))
 	if err != nil {
 		return err
 	}
@@ -67,10 +62,6 @@ func runPartition(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "  owned range    %10d .. %d nodes/shard\n", ps.MinOwned, ps.MaxOwned)
 	fmt.Fprintf(out, "  edge imbalance %13.3f  (max shard half-edges / mean)\n", ps.Imbalance)
 
-	w := *workers
-	if w <= 0 {
-		w = *shards
-	}
 	init := func(v int) int { return v * 2654435761 % 1_000_003 }
 	maxStep := func(v int, self int, nbrs []int) (int, bool) {
 		best := self
@@ -81,12 +72,12 @@ func runPartition(args []string, out io.Writer) error {
 		}
 		return best, best != self
 	}
-	opts := []runtime.Option{runtime.WithMaxRounds(*rounds), runtime.WithParallelism(w)}
+	opts := []runtime.Option{runtime.WithMaxRounds(*rounds), runtime.WithParallelism(*workers)}
 	if *delta {
 		opts = append(opts, runtime.WithDelta())
 	}
 	start := time.Now()
-	states, st, err := partition.Run(csr, plan, init, maxStep, opts...)
+	_, st, es, err := partition.Run(plan, init, maxStep, nil, opts...)
 	if err != nil {
 		return err
 	}
@@ -95,26 +86,10 @@ func runPartition(args []string, out io.Writer) error {
 	if *delta {
 		mode = "delta"
 	}
-	fmt.Fprintf(out, "workload: distributed-max, %s mode, %d workers\n", mode, w)
+	fmt.Fprintf(out, "workload: distributed-max, %s mode, -workers %d (0 = automatic)\n", mode, *workers)
 	fmt.Fprintf(out, "  rounds         %10d  in %v  (%.2f rounds/sec)\n",
 		st.Rounds, elapsed.Round(time.Millisecond), float64(st.Rounds)/elapsed.Seconds())
 	fmt.Fprintf(out, "  exchange       %12.0f values/round  %.0f bytes/round  (max round %d values)\n",
 		es.ValuesPerRound(), es.BytesPerRound(), es.MaxRoundValues)
-
-	if *check {
-		want, wantStats, err := runtime.RunCSR(csr, init, maxStep, opts...)
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(states, want) {
-			return fmt.Errorf("check failed: sharded states diverge from unsharded")
-		}
-		if st.Rounds != wantStats.Rounds || st.Messages != wantStats.Messages {
-			return fmt.Errorf("check failed: sharded stats (rounds=%d msgs=%d) diverge from unsharded (rounds=%d msgs=%d)",
-				st.Rounds, st.Messages, wantStats.Rounds, wantStats.Messages)
-		}
-		fmt.Fprintf(out, "check: sharded == unsharded (states, %d rounds, %d messages)\n",
-			st.Rounds, st.Messages)
-	}
 	return nil
 }

@@ -21,14 +21,13 @@ func TestRunPartitionReport(t *testing.T) {
 	var out bytes.Buffer
 	err := runPartition([]string{
 		"-nodes", "2000", "-degree", "8", "-shards", "4",
-		"-strategy", "degree-balanced", "-delta", "-check"}, &out)
+		"-strategy", "degree-balanced", "-delta", "-workers", "2"}, &out)
 	if err != nil {
 		t.Fatalf("runPartition: %v\n%s", err, out.String())
 	}
 	for _, want := range []string{
 		"4 degree-balanced shards", "cut edges", "ghost replicas",
-		"edge imbalance", "rounds/sec", "values/round",
-		"check: sharded == unsharded",
+		"edge imbalance", "-workers 2", "rounds/sec", "values/round", "bytes/round",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
@@ -43,6 +42,9 @@ func TestRunPartitionRejects(t *testing.T) {
 	}
 	if err := runPartition([]string{"-nodes", "100", "-shards", "101"}, &out); err == nil {
 		t.Error("k > n must fail")
+	}
+	if err := runPartition([]string{"-nodes", "100", "-check"}, &out); err == nil {
+		t.Error("-check must be rejected")
 	}
 }
 

@@ -34,7 +34,7 @@ func runReplicaServe(addr, dir, from string, opts replica.Options, out io.Writer
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: r.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	httpSrv := newHTTPServer(r.Handler())
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- httpSrv.Serve(ln) }()
 

@@ -23,9 +23,19 @@ import (
 )
 
 // readHeaderTimeout bounds how long a client may take to send a request's
-// headers, so a slow or stalled client cannot pin a connection forever.
-// Idle keep-alive connections between requests are not affected.
-const readHeaderTimeout = 10 * time.Second
+// headers, and idleTimeout how long a keep-alive connection may sit idle
+// between requests, so a slow, stalled or abandoned client cannot pin a
+// connection forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer is the one http.Server both the serve and replicate
+// listeners use, with the hostile-client timeouts set.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
 
 // runServe is the `structura serve` subcommand: stand up the resident
 // structure server over a generated or loaded topology and either listen on
@@ -105,7 +115,7 @@ func runServe(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "listening on %s\n", ln.Addr())
-		httpSrv = &http.Server{Handler: gate, ReadHeaderTimeout: readHeaderTimeout}
+		httpSrv = newHTTPServer(gate)
 		go func() { errCh <- httpSrv.Serve(ln) }()
 	}
 

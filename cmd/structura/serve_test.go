@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestRunServeLoadgen(t *testing.T) {
@@ -45,5 +47,17 @@ func TestRunServeRejects(t *testing.T) {
 		if err := runServe(args, &bytes.Buffer{}); err == nil {
 			t.Errorf("runServe(%v) succeeded, want error", args)
 		}
+	}
+}
+
+// TestNewHTTPServerTimeouts pins the hostile-client timeouts the serve and
+// replicate listeners share.
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.IdleTimeout != 120*time.Second {
+		t.Fatalf("ReadHeaderTimeout=%v IdleTimeout=%v, want 10s and 2m0s", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if srv.Handler == nil {
+		t.Fatal("handler not installed")
 	}
 }

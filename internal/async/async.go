@@ -108,15 +108,6 @@ type Delay struct {
 	SlowOneIn int   // bimodal: one in this many messages is slow (default 8)
 }
 
-// Draw exposes the pure per-message delay draw to external latency models —
-// the partition layer prices a ghost-exchange round over the same link
-// distributions the executor uses, so a shard cluster with realistic
-// inter-shard latency is just a Delay. Identical inputs yield identical
-// delays at any call site.
-func (d Delay) Draw(seed uint64, from, to int, seq uint64, attempt int) Ticks {
-	return d.draw(seed, from, to, seq, attempt)
-}
-
 // draw returns the one-way delay for transmission `attempt` of message
 // (from, to, seq). Pure function of its arguments plus the run seed.
 func (d Delay) draw(seed uint64, from, to int, seq uint64, attempt int) Ticks {

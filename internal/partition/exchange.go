@@ -1,32 +1,19 @@
 package partition
 
 import (
-	"structura/internal/async"
+	"unsafe"
+
+	"structura/internal/graph"
+	"structura/internal/runtime"
 )
 
-// ExchangeStats accumulates the ghost-exchange traffic of a sharded run:
-// how many boundary values (and bytes) crossed shards, per round and in
-// total. Attach with WithExchangeStats; the collector survives partition
-// rebuilds under churn, so the totals cover the whole run.
+// ExchangeStats is the boundary traffic of a run priced on a plan: how many
+// values (and bytes) would cross shards, per round and in total.
 type ExchangeStats struct {
-	Rounds         int   // exchange rounds observed (one per kernel round)
+	Rounds         int   // rounds priced (one per kernel round)
 	Values         int64 // boundary values shipped, total
 	Bytes          int64 // Values x state size
 	MaxRoundValues int   // largest single-round exchange
-}
-
-// record folds one round's flow matrix into the totals.
-func (es *ExchangeStats) record(flows []int32, valueBytes int) {
-	es.Rounds++
-	total := 0
-	for _, f := range flows {
-		total += int(f)
-	}
-	es.Values += int64(total)
-	es.Bytes += int64(total) * int64(valueBytes)
-	if total > es.MaxRoundValues {
-		es.MaxRoundValues = total
-	}
 }
 
 // ValuesPerRound is the mean boundary values exchanged per round.
@@ -45,50 +32,98 @@ func (es *ExchangeStats) BytesPerRound() float64 {
 	return float64(es.Bytes) / float64(es.Rounds)
 }
 
-// LinkModel prices the ghost exchange over inter-shard links with realistic
-// latency: each round, every shard pair that exchanged values draws a delay
-// from the async executor's seeded per-link distributions (pure in (seed,
-// from, to, round)), and the round barrier waits for the slowest active
-// link. Attach with WithLinkModel. The model makes a shard cluster with
-// WAN-like latency just a Delay configuration — the same vocabulary the
-// event-driven executor uses for per-message delivery.
-type LinkModel struct {
-	Delay async.Delay // per-link delay distribution
-	Seed  uint64      // draw seed; same seed -> same latency trace
-
-	// Accumulated over the run:
-	Rounds     int         // rounds with cross-shard traffic
-	TotalTicks async.Ticks // sum of per-round slowest-link delays
-	MaxRound   async.Ticks // worst single round
+// Run executes a distributed algorithm on the unsharded kernel
+// (runtime.RunCSR over the plan's graph) and prices its exchange on the
+// plan. Each round costs, per node whose step reported ch == true and per
+// node the perturber restarted, one value to every other shard holding a
+// reader of that node in the round's topology. A value is priced at the
+// in-memory size of S (referenced storage is shared, not shipped).
+//
+// The model relies on the step-honesty contract of runtime.WithDelta: step
+// must report ch == true whenever the returned state differs from self.
+//
+// pert, when non-nil, is the run's fault injector; pass it here rather than
+// through runtime.WithPerturber so the model sees its restarts and topology
+// swaps (a swap recounts the readers before that round's restarts are
+// priced). Run installs its own observer, so opts must not carry
+// runtime.WithObserver or runtime.WithPerturber.
+func Run[S any](
+	p *Plan,
+	init func(v int) S,
+	step func(v int, self S, neighbors []S) (S, bool),
+	pert runtime.Perturber,
+	opts ...runtime.Option,
+) ([]S, runtime.Stats, ExchangeStats, error) {
+	var zero S
+	m := &meter{
+		inner:      pert,
+		bounds:     p.bounds,
+		readers:    p.readers,
+		changed:    make([]bool, p.g.N()),
+		valueBytes: int64(unsafe.Sizeof(zero)),
+	}
+	// Each node is stepped by one worker per round, so its slot has a single
+	// writer; the round barrier orders those writes before observe reads them.
+	metered := func(v int, self S, nbrs []S) (S, bool) {
+		s, ch := step(v, self, nbrs)
+		if ch {
+			m.changed[v] = true
+		}
+		return s, ch
+	}
+	all := append(opts[:len(opts):len(opts)], runtime.WithObserver(m.observe))
+	if pert != nil {
+		all = append(all, runtime.WithPerturber(m))
+	}
+	states, st, err := runtime.RunCSR(p.g, init, metered, all...)
+	return states, st, m.stats, err
 }
 
-// record prices one round's flow matrix.
-func (lm *LinkModel) record(round int, flows []int32, k int) {
-	var worst async.Ticks
-	for s := 0; s < k; s++ {
-		for t := 0; t < k; t++ {
-			if s == t || flows[s*k+t] <= 0 {
-				continue
-			}
-			d := lm.Delay.Draw(lm.Seed, s, t, uint64(round), 0)
-			if d > worst {
-				worst = d
-			}
-		}
-	}
-	if worst > 0 {
-		lm.Rounds++
-		lm.TotalTicks += worst
-		if worst > lm.MaxRound {
-			lm.MaxRound = worst
-		}
-	}
+// meter accumulates one run's exchange. As a runtime.Perturber it wraps the
+// caller's, pricing restarts against the topology in force; its observe
+// method prices the round's changed nodes and closes the round.
+type meter struct {
+	inner      runtime.Perturber
+	bounds     []int32
+	readers    []int32 // the plan's counts until a topology swap
+	changed    []bool  // changed[v]: v's step reported a change this round
+	restarted  int64   // values shipped by this round's restarts
+	valueBytes int64
+	stats      ExchangeStats
 }
 
-// MeanTicks is the mean per-round barrier latency over rounds with traffic.
-func (lm *LinkModel) MeanTicks() float64 {
-	if lm.Rounds == 0 {
-		return 0
+func (m *meter) BeforeRound(round int, g *graph.CSR) runtime.Perturbation {
+	p := m.inner.BeforeRound(round, g)
+	// A swap that changes the node count is rejected by the kernel.
+	if t := p.Topology; t != nil && t.N() == len(m.changed) {
+		m.readers = remoteReaders(t, m.bounds)
 	}
-	return float64(lm.TotalTicks) / float64(lm.Rounds)
+	// Reset rather than add: on resume the kernel replays earlier rounds'
+	// BeforeRound calls, and only the last one applies to a priced round.
+	m.restarted = 0
+	for v, rs := range p.Restart {
+		if rs {
+			m.restarted += int64(m.readers[v])
+		}
+	}
+	return p
+}
+
+func (m *meter) Active(round int) bool { return m.inner.Active(round) }
+
+func (m *meter) observe(runtime.RoundStats) {
+	values := m.restarted
+	m.restarted = 0
+	for v, ch := range m.changed {
+		if ch {
+			values += int64(m.readers[v])
+			m.changed[v] = false
+		}
+	}
+	m.stats.Rounds++
+	m.stats.Values += values
+	m.stats.Bytes += values * m.valueBytes
+	if int(values) > m.stats.MaxRoundValues {
+		m.stats.MaxRoundValues = int(values)
+	}
 }

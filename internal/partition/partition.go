@@ -1,12 +1,12 @@
-// Package partition splits a frozen graph.CSR into k edge-cut shards for the
-// sharded round kernel (runtime.WithPartition): each shard owns a contiguous
-// global ID range, holds a local-ID CSR over its owned nodes plus ghost
-// replicas of the remote nodes its owned nodes read, and between rounds only
-// the boundary values that actually changed travel between shards. The
-// partition is semantically invisible — step rules only ever read
-// in-neighborhood state, so replicating that state at the cut reproduces the
-// unsharded kernel bit for bit (states, rounds, messages, checkpoints) on
-// every kernel path.
+// Package partition prices a round-based distributed algorithm on k edge-cut
+// shards. A Plan splits a frozen graph.CSR into k contiguous ownership
+// ranges and records, per node, how many other shards own a reader of it.
+// Run executes the algorithm on the ordinary unsharded kernel and reports
+// the exchange a sharded deployment would need: every round, each node whose
+// state changed (and each node restarted by a fault) ships its value once to
+// every other shard that reads it. Rounds and messages are properties of the
+// algorithm on a graph and a cut, not of how one process schedules the work,
+// so the model needs no second executor.
 package partition
 
 import (
@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"structura/internal/graph"
-	"structura/internal/runtime"
 )
 
 // Strategy selects how ownership boundaries are chosen.
@@ -51,32 +50,17 @@ func WithStrategy(s Strategy) Option {
 	return func(p *Plan) { p.strategy = s }
 }
 
-// WithExchangeStats attaches a collector that accumulates per-round ghost
-// traffic (values and bytes) across the run, surviving partition rebuilds
-// under churn.
-func WithExchangeStats(es *ExchangeStats) Option {
-	return func(p *Plan) { p.stats = es }
-}
-
-// WithLinkModel routes the per-round ghost exchange through an inter-shard
-// latency model: every round's exchange is priced as the slowest active link
-// (the round barrier waits for it), using the async executor's seeded delay
-// distributions. The model accumulates across the run.
-func WithLinkModel(lm *LinkModel) Option {
-	return func(p *Plan) { p.link = lm }
-}
-
-// Plan is an edge-cut partition of one CSR snapshot, implementing
-// runtime.Partition. Build with New; pass to the kernel via
-// runtime.WithPartition (or the Run convenience wrapper).
+// Plan is an edge-cut partition of one CSR snapshot. Build with New; price a
+// run with Run.
 type Plan struct {
 	g        *graph.CSR
 	k        int
 	bounds   []int32
-	layouts  []*runtime.ShardLayout
 	strategy Strategy
-	stats    *ExchangeStats
-	link     *LinkModel
+	// readers[v] is the number of shards other than v's owner that own a
+	// node reading v (a node u with v in g.Neighbors(u)): the copies one
+	// change of v costs.
+	readers []int32
 }
 
 // New partitions g into k edge-cut shards. Requires 1 <= k <= g.N(); every
@@ -91,7 +75,7 @@ func New(g *graph.CSR, k int, opts ...Option) (*Plan, error) {
 		o(p)
 	}
 	p.bounds = makeBounds(g, k, p.strategy)
-	p.layouts = buildLayouts(g, p.bounds)
+	p.readers = remoteReaders(g, p.bounds)
 	return p, nil
 }
 
@@ -128,222 +112,33 @@ func makeBounds(g *graph.CSR, k int, st Strategy) []int32 {
 	return bounds
 }
 
-// buildLayouts constructs the per-shard local CSRs, ghost tables, and
-// replica lists for the given ownership bounds over g.
-func buildLayouts(g *graph.CSR, bounds []int32) []*runtime.ShardLayout {
-	k := len(bounds) - 1
-	lays := make([]*runtime.ShardLayout, k)
-	ghostLists := make([][]int32, k) // per shard, ghost global IDs ascending
-	for s := 0; s < k; s++ {
-		lays[s] = buildShard(g, bounds, s, &ghostLists[s])
-	}
-	buildReplicas(bounds, lays, ghostLists)
-	return lays
-}
-
-// buildShard builds shard s's layout: local forward CSR (owned rows mirror
-// the global rows with remote targets renamed to ghost IDs; on undirected
-// graphs ghost rows list their owned readers so local InNeighbors works; on
-// directed graphs the reverse CSR provides that), the word-aligned ghost
-// region, and the local->global table.
-func buildShard(g *graph.CSR, bounds []int32, s int, ghostsOut *[]int32) *runtime.ShardLayout {
-	lo, hi := int(bounds[s]), int(bounds[s+1])
-	own := hi - lo
-
-	// Discover ghosts: remote nodes referenced by owned rows.
-	ghostOf := make(map[int32]int32)
-	var ghosts []int32
-	ownedHalf := 0
-	for v := lo; v < hi; v++ {
-		row := g.Neighbors(v)
-		ownedHalf += len(row)
-		for _, w := range row {
-			if int(w) < lo || int(w) >= hi {
-				if _, ok := ghostOf[w]; !ok {
-					ghostOf[w] = 1 // placeholder; local IDs assigned below
-					ghosts = append(ghosts, w)
+// remoteReaders counts, for every node of g, the shards other than its owner
+// that own at least one of its readers. One O(m) pass: shards are visited in
+// order, and last[w] remembers the last shard that counted w.
+func remoteReaders(g *graph.CSR, bounds []int32) []int32 {
+	n := g.N()
+	readers := make([]int32, n)
+	last := make([]int32, n)
+	for s := 0; s+1 < len(bounds); s++ {
+		lo, hi, mark := bounds[s], bounds[s+1], int32(s+1)
+		for u := lo; u < hi; u++ {
+			for _, w := range g.Neighbors(int(u)) {
+				if (w < lo || w >= hi) && last[w] != mark {
+					last[w] = mark
+					readers[w]++
 				}
 			}
 		}
 	}
-	sort.Slice(ghosts, func(i, j int) bool { return ghosts[i] < ghosts[j] })
-	ghostBase := own
-	if len(ghosts) > 0 {
-		// Word-align the ghost region so owned and ghost bits never share
-		// a bitset word in the kernel's frontier sets.
-		ghostBase = (own + 63) &^ 63
-	}
-	nl := ghostBase + len(ghosts)
-	for i, gw := range ghosts {
-		ghostOf[gw] = int32(ghostBase + i)
-	}
-
-	global := make([]int32, nl)
-	for v := 0; v < own; v++ {
-		global[v] = int32(lo + v)
-	}
-	for v := own; v < ghostBase; v++ {
-		global[v] = -1
-	}
-	for i, gw := range ghosts {
-		global[ghostBase+i] = gw
-	}
-
-	// Ghost reader rows exist only on undirected graphs (directed local
-	// CSRs get in-neighbors from the reverse sweep over the forward rows).
-	var ghostRows [][]int32
-	ghostHalf := 0
-	if !g.Directed() && len(ghosts) > 0 {
-		ghostRows = make([][]int32, len(ghosts))
-		for v := lo; v < hi; v++ {
-			for _, w := range g.Neighbors(v) {
-				if int(w) < lo || int(w) >= hi {
-					gi := int(ghostOf[w]) - ghostBase
-					ghostRows[gi] = append(ghostRows[gi], int32(v-lo))
-					ghostHalf++
-				}
-			}
-		}
-	}
-
-	offsets := make([]int32, nl+1)
-	targets := make([]int32, ownedHalf+ghostHalf)
-	weights := make([]float64, ownedHalf+ghostHalf)
-	pos := int32(0)
-	for v := 0; v < own; v++ {
-		offsets[v] = pos
-		gv := lo + v
-		row := g.Neighbors(gv)
-		wts := g.NeighborWeights(gv)
-		for i, w := range row {
-			if int(w) >= lo && int(w) < hi {
-				targets[pos] = w - int32(lo)
-			} else {
-				targets[pos] = ghostOf[w]
-			}
-			weights[pos] = wts[i]
-			pos++
-		}
-	}
-	for v := own; v < ghostBase; v++ {
-		offsets[v] = pos // padding: empty row
-	}
-	for i := range ghosts {
-		offsets[ghostBase+i] = pos
-		if ghostRows != nil {
-			for _, r := range ghostRows[i] {
-				targets[pos] = r
-				weights[pos] = 0
-				pos++
-			}
-		}
-	}
-	offsets[nl] = pos
-
-	// The local M is informational only (the kernel accounts messages on
-	// the global CSR): half-edges/2 on undirected rows, half-edges on
-	// directed ones.
-	mLocal := int(pos)
-	if !g.Directed() {
-		mLocal /= 2
-	}
-	local, err := graph.NewCSR(g.Directed(), mLocal, offsets, targets, weights)
-	if err != nil {
-		// The arrays above are built to NewCSR's invariants; a failure here
-		// is a builder bug, not a caller error.
-		panic(fmt.Sprintf("partition: shard %d local CSR invalid: %v", s, err))
-	}
-	*ghostsOut = ghosts
-	return &runtime.ShardLayout{
-		Local:     local,
-		Own:       own,
-		GhostBase: ghostBase,
-		Global:    global,
-	}
+	return readers
 }
 
-// buildReplicas fills every layout's replica table: for each owned node, the
-// (shard, slot) list of its ghost copies, ordered by ascending shard.
-func buildReplicas(bounds []int32, lays []*runtime.ShardLayout, ghostLists [][]int32) {
-	k := len(lays)
-	counts := make([][]int32, k)
-	for s, lay := range lays {
-		counts[s] = make([]int32, lay.Own)
-	}
-	owner := func(gid int32) int {
-		return sort.Search(len(bounds)-1, func(s int) bool { return bounds[s+1] > gid })
-	}
-	for t := 0; t < k; t++ {
-		for _, gw := range ghostLists[t] {
-			s := owner(gw)
-			counts[s][gw-bounds[s]]++
-		}
-	}
-	cursors := make([][]int32, k)
-	for s, lay := range lays {
-		off := make([]int32, lay.Own+1)
-		for v := 0; v < lay.Own; v++ {
-			off[v+1] = off[v] + counts[s][v]
-		}
-		lay.ReplicaOff = off
-		lay.Replicas = make([]runtime.Replica, off[lay.Own])
-		cur := make([]int32, lay.Own)
-		copy(cur, off[:lay.Own])
-		cursors[s] = cur
-	}
-	// Shards visited in ascending order, so each node's replicas come out
-	// shard-ascending.
-	for t := 0; t < k; t++ {
-		for i, gw := range ghostLists[t] {
-			s := owner(gw)
-			v := gw - bounds[s]
-			lays[s].Replicas[cursors[s][v]] = runtime.Replica{
-				Shard: int32(t),
-				Slot:  int32(lays[t].GhostBase + i),
-			}
-			cursors[s][v]++
-		}
-	}
-}
-
-// Bounds implements runtime.Partition.
+// Bounds returns the k+1 ascending ownership boundaries: shard s owns node
+// IDs [Bounds()[s], Bounds()[s+1]).
 func (p *Plan) Bounds() []int32 { return p.bounds }
-
-// Layouts implements runtime.Partition.
-func (p *Plan) Layouts() []*runtime.ShardLayout { return p.layouts }
 
 // K returns the shard count.
 func (p *Plan) K() int { return p.k }
-
-// Rebuild implements runtime.Partition: it derives the plan for a churned
-// topology with the same node count, preserving ownership bounds so
-// shard-resident state survives without migration. Attached exchange and
-// link collectors carry over, accumulating across the churn.
-func (p *Plan) Rebuild(fresh *graph.CSR) (runtime.Partition, error) {
-	if fresh.N() != p.g.N() {
-		return nil, fmt.Errorf("partition: rebuild topology has %d nodes, plan has %d", fresh.N(), p.g.N())
-	}
-	np := &Plan{
-		g:        fresh,
-		k:        p.k,
-		bounds:   p.bounds,
-		strategy: p.strategy,
-		stats:    p.stats,
-		link:     p.link,
-	}
-	np.layouts = buildLayouts(fresh, p.bounds)
-	return np, nil
-}
-
-// OnExchange implements runtime.Partition, feeding the optional collectors.
-func (p *Plan) OnExchange(round int, flows []int32, valueBytes int) {
-	if p.stats != nil {
-		p.stats.record(flows, valueBytes)
-	}
-	if p.link != nil {
-		p.link.record(round, flows, p.k)
-	}
-}
 
 // PlanStats summarizes the partition's quality: how much of the edge set
 // crosses shards, how much state is replicated, and how uneven the per-round
@@ -354,7 +149,7 @@ type PlanStats struct {
 	Edges         int
 	CutEdges      int     // edges with endpoints on different shards
 	CutFraction   float64 // CutEdges / Edges
-	Ghosts        int     // ghost replicas summed over shards
+	Ghosts        int     // remote copies a shard holds of nodes it reads, summed over shards
 	GhostFraction float64 // Ghosts / Nodes
 	MinOwned      int
 	MaxOwned      int
@@ -395,7 +190,9 @@ func (p *Plan) Stats() PlanStats {
 		if shardHalf > maxHalf {
 			maxHalf = shardHalf
 		}
-		st.Ghosts += p.layouts[s].Ghosts()
+	}
+	for _, r := range p.readers {
+		st.Ghosts += int(r)
 	}
 	st.CutEdges = cutHalf
 	if !p.g.Directed() {
@@ -413,21 +210,4 @@ func (p *Plan) Stats() PlanStats {
 		st.Imbalance = 1
 	}
 	return st
-}
-
-// Run executes a distributed algorithm on the sharded kernel: a convenience
-// wrapper equivalent to runtime.RunCSR(g, init, step, opts...,
-// runtime.WithPartition(plan)). Bit-identical to the unsharded RunCSR for
-// honest step functions (see runtime.WithPartition).
-func Run[S any](
-	g *graph.CSR,
-	plan *Plan,
-	init func(v int) S,
-	step func(v int, self S, neighbors []S) (S, bool),
-	opts ...runtime.Option,
-) ([]S, runtime.Stats, error) {
-	all := make([]runtime.Option, 0, len(opts)+1)
-	all = append(all, opts...)
-	all = append(all, runtime.WithPartition(plan))
-	return runtime.RunCSR(g, init, step, all...)
 }

@@ -2,11 +2,8 @@ package partition_test
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"testing"
 
-	"structura/internal/async"
 	"structura/internal/gen"
 	"structura/internal/graph"
 	"structura/internal/partition"
@@ -14,161 +11,58 @@ import (
 	"structura/internal/stats"
 )
 
-// checkPlan verifies the structural invariants every plan must satisfy:
-// bounds cover [0,n) with no empty shard, every global half-edge appears in
-// exactly one owned local row, local<->global IDs round-trip, the ghost
-// region is word-aligned with -1 padding, and the replica tables on owner
-// shards agree with the ghost tables on reader shards. Shared with the fuzz
-// target.
+// checkPlan verifies the invariants every plan must satisfy: bounds cover
+// [0,n) with no empty shard, and Stats agrees with a brute-force recount of
+// the cut, the remote reader copies and the per-shard edge work. Shared
+// with the fuzz target.
 func checkPlan(t testing.TB, g *graph.CSR, plan *partition.Plan) {
 	t.Helper()
 	n := g.N()
 	bounds := plan.Bounds()
-	lays := plan.Layouts()
-	k := len(lays)
+	k := plan.K()
 	if len(bounds) != k+1 || bounds[0] != 0 || int(bounds[k]) != n {
 		t.Fatalf("bounds %v do not cover [0,%d)", bounds, n)
 	}
-	ownedHalfTotal := 0
-	globalHalf := 0
-	for v := 0; v < n; v++ {
-		globalHalf += g.Degree(v)
-	}
-	for s, lay := range lays {
-		lo, hi := int(bounds[s]), int(bounds[s+1])
-		if hi <= lo {
+	minOwned, maxOwned := n, 0
+	for s := 0; s < k; s++ {
+		own := int(bounds[s+1] - bounds[s])
+		if own <= 0 {
 			t.Fatalf("shard %d empty: bounds %v", s, bounds)
 		}
-		own := hi - lo
-		if lay.Own != own {
-			t.Fatalf("shard %d Own=%d, bounds say %d", s, lay.Own, own)
-		}
-		if lay.GhostBase%64 != 0 && lay.Ghosts() > 0 {
-			t.Fatalf("shard %d GhostBase %d not word-aligned with %d ghosts", s, lay.GhostBase, lay.Ghosts())
-		}
-		if lay.NLocal() != lay.Local.N() {
-			t.Fatalf("shard %d NLocal %d != local CSR n %d", s, lay.NLocal(), lay.Local.N())
-		}
-		// Local->global table: owned identity-shifted, padding -1, ghosts
-		// ascending, remote, and unique.
-		for v := 0; v < own; v++ {
-			if int(lay.Global[v]) != lo+v {
-				t.Fatalf("shard %d owned local %d maps to %d, want %d", s, v, lay.Global[v], lo+v)
-			}
-		}
-		for v := own; v < lay.GhostBase; v++ {
-			if lay.Global[v] != -1 {
-				t.Fatalf("shard %d padding slot %d maps to %d, want -1", s, v, lay.Global[v])
-			}
-			if lay.Local.Degree(v) != 0 {
-				t.Fatalf("shard %d padding slot %d has degree %d", s, v, lay.Local.Degree(v))
-			}
-		}
-		var prev int32 = -1
-		for v := lay.GhostBase; v < lay.NLocal(); v++ {
-			gw := lay.Global[v]
-			if gw <= prev {
-				t.Fatalf("shard %d ghost globals not strictly ascending at slot %d", s, v)
-			}
-			prev = gw
-			if int(gw) >= lo && int(gw) < hi {
-				t.Fatalf("shard %d ghost slot %d holds owned node %d", s, v, gw)
-			}
-		}
-		// Owned rows mirror the global rows edge for edge, in order.
-		for v := 0; v < own; v++ {
-			gv := lo + v
-			grow := g.Neighbors(gv)
-			lrow := lay.Local.Neighbors(v)
-			if len(grow) != len(lrow) {
-				t.Fatalf("shard %d node %d row length %d, global %d", s, gv, len(lrow), len(grow))
-			}
-			gw := g.NeighborWeights(gv)
-			lw := lay.Local.NeighborWeights(v)
-			for i := range lrow {
-				if lay.Global[lrow[i]] != grow[i] {
-					t.Fatalf("shard %d node %d edge %d points at global %d, want %d",
-						s, gv, i, lay.Global[lrow[i]], grow[i])
-				}
-				if lw[i] != gw[i] {
-					t.Fatalf("shard %d node %d edge %d weight %v, want %v", s, gv, i, lw[i], gw[i])
-				}
-			}
-			ownedHalfTotal += len(lrow)
-		}
-		// Local in-neighborhoods are what the delta frontier's push rebuild
-		// walks. For an owned node they must cover every local reader: all
-		// global in-neighbors on undirected graphs (remote ones via ghost
-		// rows), the shard-owned ones on directed graphs (remote readers live
-		// where this node is a ghost). For a ghost slot: exactly its owned
-		// readers on this shard.
-		inWant := func(gid int32, ownedOnly bool) []int32 {
-			var want []int32
-			for _, u := range g.InNeighbors(int(gid)) {
-				if !ownedOnly || (int(u) >= lo && int(u) < hi) {
-					want = append(want, u)
-				}
-			}
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			return want
-		}
-		inGot := func(v int) []int32 {
-			lin := lay.Local.InNeighbors(v)
-			got := make([]int32, len(lin))
-			for i, w := range lin {
-				got[i] = lay.Global[w]
-			}
-			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-			return got
-		}
-		for v := 0; v < own; v++ {
-			if want, got := inWant(int32(lo+v), g.Directed()), inGot(v); fmt.Sprint(want) != fmt.Sprint(got) {
-				t.Fatalf("shard %d node %d in-neighbors %v, want %v", s, lo+v, got, want)
-			}
-		}
-		for v := lay.GhostBase; v < lay.NLocal(); v++ {
-			// A ghost's local readers are owned by this shard by construction.
-			want := inWant(lay.Global[v], true)
-			got := inGot(v)
-			if fmt.Sprint(want) != fmt.Sprint(got) {
-				t.Fatalf("shard %d ghost %d readers %v, want %v", s, lay.Global[v], got, want)
-			}
-		}
-		// Replica table: each owned node's replicas point at ghost slots that
-		// map back to it, shard-ascending.
-		if len(lay.ReplicaOff) != own+1 {
-			t.Fatalf("shard %d ReplicaOff length %d, want %d", s, len(lay.ReplicaOff), own+1)
-		}
-		for v := 0; v < own; v++ {
-			prevShard := int32(-1)
-			for _, rep := range lay.Replicas[lay.ReplicaOff[v]:lay.ReplicaOff[v+1]] {
-				if rep.Shard <= prevShard {
-					t.Fatalf("shard %d node %d replicas not shard-ascending", s, lo+v)
-				}
-				prevShard = rep.Shard
-				dst := lays[rep.Shard]
-				if int(rep.Slot) < dst.GhostBase || int(rep.Slot) >= dst.NLocal() {
-					t.Fatalf("shard %d node %d replica slot %d outside ghost region of shard %d",
-						s, lo+v, rep.Slot, rep.Shard)
-				}
-				if int(dst.Global[rep.Slot]) != lo+v {
-					t.Fatalf("shard %d node %d replica at shard %d slot %d maps to %d",
-						s, lo+v, rep.Shard, rep.Slot, dst.Global[rep.Slot])
-				}
+		minOwned, maxOwned = min(minOwned, own), max(maxOwned, own)
+	}
+	cutHalf, maxHalf, totalHalf := 0, 0, 0
+	shardHalf := make([]int, k)
+	copies := make(map[[2]int]bool) // (node, reader shard) with the shard not its owner
+	for u := 0; u < n; u++ {
+		su := bruteOwner(bounds, u)
+		shardHalf[su] += len(g.Neighbors(u))
+		totalHalf += len(g.Neighbors(u))
+		maxHalf = max(maxHalf, shardHalf[su])
+		for _, w := range g.Neighbors(u) {
+			if bruteOwner(bounds, int(w)) != su {
+				cutHalf++
+				copies[[2]int{int(w), su}] = true
 			}
 		}
 	}
-	if ownedHalfTotal != globalHalf {
-		t.Fatalf("owned rows hold %d half-edges, global graph has %d", ownedHalfTotal, globalHalf)
+	want := partition.PlanStats{
+		Shards: k, Nodes: n, Edges: g.M(),
+		CutEdges: cutHalf, Ghosts: len(copies),
+		MinOwned: minOwned, MaxOwned: maxOwned, Imbalance: 1,
 	}
-	// Every ghost is someone's replica: total ghosts == total replicas.
-	ghosts, reps := 0, 0
-	for _, lay := range lays {
-		ghosts += lay.Ghosts()
-		reps += len(lay.Replicas)
+	if !g.Directed() {
+		want.CutEdges /= 2
 	}
-	if ghosts != reps {
-		t.Fatalf("%d ghosts but %d replica entries", ghosts, reps)
+	if want.Edges > 0 {
+		want.CutFraction = float64(want.CutEdges) / float64(want.Edges)
+	}
+	want.GhostFraction = float64(want.Ghosts) / float64(n)
+	if totalHalf > 0 {
+		want.Imbalance = float64(maxHalf) * float64(k) / float64(totalHalf)
+	}
+	if got := plan.Stats(); got != want {
+		t.Fatalf("Stats() = %+v, brute force %+v", got, want)
 	}
 }
 
@@ -273,51 +167,17 @@ func TestPlanStats(t *testing.T) {
 	}
 }
 
-// TestRebuildPreservesBounds: rebuilding on a churned topology with the same
-// node count keeps ownership identical and the layouts valid.
-func TestRebuildPreservesBounds(t *testing.T) {
-	g := gen.SparseErdosRenyi(stats.NewRand(9), 100, 0.05)
-	c := g.Freeze()
-	plan, err := partition.New(c, 4, partition.WithStrategy(partition.DegreeBalanced))
-	if err != nil {
-		t.Fatal(err)
-	}
-	alt := g.Clone()
-	alt.RemoveEdge(0, alt.Neighbors(0)[0])
-	if err := alt.AddEdge(2, 97); err != nil && !alt.HasEdge(2, 97) {
-		t.Fatal(err)
-	}
-	fresh := alt.Freeze()
-	npAny, err := plan.Rebuild(fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	np := npAny.(*partition.Plan)
-	if fmt.Sprint(np.Bounds()) != fmt.Sprint(plan.Bounds()) {
-		t.Fatalf("rebuild moved bounds: %v -> %v", plan.Bounds(), np.Bounds())
-	}
-	checkPlan(t, fresh, np)
-	if _, err := plan.Rebuild(graph.New(50).Freeze()); err == nil {
-		t.Error("rebuild with a different node count must fail")
-	}
-}
-
-// TestExchangeStatsAndLinkModel: collectors attached to a plan observe the
-// run's ghost traffic; in delta mode the total exchanged values are bounded
-// by the boundary churn, and the link model prices only rounds with traffic.
-func TestExchangeStatsAndLinkModel(t *testing.T) {
+// TestExchangeStats: the exchange of a delta run is well-formed (one priced
+// round per kernel round, bytes at the state size, the largest round no
+// smaller than the mean) and ships only changed boundary values: strictly
+// less than every remote copy every round on a run that converges.
+func TestExchangeStats(t *testing.T) {
 	g := gen.SparseErdosRenyi(stats.NewRand(21), 120, 0.05).Freeze()
-	var es partition.ExchangeStats
-	lm := &partition.LinkModel{
-		Delay: async.Delay{Kind: async.Uniform, Base: 5, Spread: 3},
-		Seed:  99,
-	}
-	plan, err := partition.New(g, 4,
-		partition.WithExchangeStats(&es), partition.WithLinkModel(lm))
+	plan, err := partition.New(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	states, st, err := partition.Run(g, plan, hopInit, hopStep,
+	states, st, es, err := partition.Run(plan, hopInit, hopStep, nil,
 		rt.WithMaxRounds(40), rt.WithDelta())
 	if err != nil {
 		t.Fatal(err)
@@ -329,8 +189,8 @@ func TestExchangeStatsAndLinkModel(t *testing.T) {
 	if fmt.Sprint(states) != fmt.Sprint(want) {
 		t.Fatal("partition.Run diverged from RunCSR")
 	}
-	if es.Rounds != st.Rounds {
-		t.Errorf("exchange rounds %d, kernel rounds %d", es.Rounds, st.Rounds)
+	if !st.Stable || es.Rounds != st.Rounds {
+		t.Errorf("exchange rounds %d, kernel rounds %d (stable=%v)", es.Rounds, st.Rounds, st.Stable)
 	}
 	if es.Values <= 0 || es.Bytes != es.Values*8 {
 		t.Errorf("traffic accounting wrong: %+v", es)
@@ -338,32 +198,7 @@ func TestExchangeStatsAndLinkModel(t *testing.T) {
 	if int64(es.MaxRoundValues) > es.Values || float64(es.MaxRoundValues) < es.ValuesPerRound() {
 		t.Errorf("max-round bound violated: %+v", es)
 	}
-	// Delta exchange ships only changed boundary values: strictly less than
-	// replicas x rounds on a run that converges.
-	reps := 0
-	for _, lay := range plan.Layouts() {
-		reps += lay.Ghosts()
-	}
-	if es.Values >= int64(reps)*int64(st.Rounds) {
-		t.Errorf("delta exchange shipped %d values; full exchange would be %d", es.Values, reps*st.Rounds)
-	}
-	if lm.Rounds == 0 || lm.Rounds > st.Rounds || lm.TotalTicks < async.Ticks(lm.Rounds)*5 {
-		t.Errorf("link model accounting wrong: %+v", lm)
-	}
-	if lm.MeanTicks() < 5 || lm.MeanTicks() > 8 || math.IsNaN(lm.MeanTicks()) {
-		t.Errorf("mean ticks %.2f outside [base, base+jitter]", lm.MeanTicks())
-	}
-	// Same seed -> same latency trace.
-	lm2 := &partition.LinkModel{Delay: async.Delay{Kind: async.Uniform, Base: 5, Spread: 3}, Seed: 99}
-	plan2, err := partition.New(g, 4, partition.WithLinkModel(lm2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := partition.Run(g, plan2, hopInit, hopStep,
-		rt.WithMaxRounds(40), rt.WithDelta()); err != nil {
-		t.Fatal(err)
-	}
-	if lm2.TotalTicks != lm.TotalTicks || lm2.MaxRound != lm.MaxRound {
-		t.Errorf("same seed produced a different latency trace: %+v vs %+v", lm2, lm)
+	if copies := plan.Stats().Ghosts; es.Values >= int64(copies)*int64(st.Rounds) {
+		t.Errorf("delta exchange shipped %d values; a full exchange would be %d", es.Values, copies*st.Rounds)
 	}
 }

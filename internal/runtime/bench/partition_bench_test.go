@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -24,29 +25,37 @@ func benchPlan(b *testing.B, c *graph.CSR, k int, opts ...partition.Option) *par
 	return plan
 }
 
-// BenchmarkPartitionedCSRER100k is the sharded leg of the 100k CSR kernel
-// bench: identical workload (15 rounds of distributed-max), executed over
-// k edge-cut shards with changed-values-only ghost exchange. ns/round is the
-// per-round cost to compare against the unsharded leg; values/round and
-// bytes/round are the measured exchange traffic (the numbers that would
-// cross the network on a real cluster).
+// checkExchange fails the benchmark unless the priced exchange, rounded as
+// the benchmark output prints it, equals the recorded trajectory values.
+func checkExchange(b *testing.B, es partition.ExchangeStats, values, bytes float64) {
+	b.Helper()
+	v, by := math.Round(es.ValuesPerRound()), math.Round(es.BytesPerRound())
+	if v != values || by != bytes {
+		b.Fatalf("exchange %.0f values/round, %.0f bytes/round; recorded %.0f, %.0f", v, by, values, bytes)
+	}
+}
+
+// BenchmarkPartitionedCSRER100k prices the 100k CSR kernel workload (15
+// rounds of distributed-max) on k edge-cut shards. ns/round is the metered
+// unsharded run; values/round and bytes/round are the boundary traffic a
+// k-shard deployment would ship, pinned to the recorded trajectory.
 func BenchmarkPartitionedCSRER100k(b *testing.B) {
 	csr := erGraph().Freeze()
 	init := func(v int) int { return v * 2654435761 % 1_000_003 }
+	recorded := map[int][2]float64{2: {62120, 496959}, 4: {172107, 1376856}, 8: {311861, 2494891}}
 	var want int
 	for _, k := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
-			var es partition.ExchangeStats
-			plan := benchPlan(b, csr, k, partition.WithExchangeStats(&es))
+			plan := benchPlan(b, csr, k)
 			st := plan.Stats()
 			b.ResetTimer()
 			var nsPerRound float64
+			var es partition.ExchangeStats
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
-				states, rst, err := runtime.RunCSR(csr, init, maxStep,
-					runtime.WithMaxRounds(15), runtime.WithParallelism(k),
-					runtime.WithPartition(plan))
+				states, rst, ex, err := partition.Run(plan, init, maxStep, nil,
+					runtime.WithMaxRounds(15), runtime.WithParallelism(k))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -57,9 +66,11 @@ func BenchmarkPartitionedCSRER100k(b *testing.B) {
 				if want == 0 {
 					want = states[0]
 				} else if states[0] != want {
-					b.Fatalf("sharded run disagrees: state[0] = %d, want %d", states[0], want)
+					b.Fatalf("metered run disagrees: state[0] = %d, want %d", states[0], want)
 				}
+				es = ex
 			}
+			checkExchange(b, es, recorded[k][0], recorded[k][1])
 			b.ReportMetric(nsPerRound, "ns/round")
 			b.ReportMetric(es.ValuesPerRound(), "values/round")
 			b.ReportMetric(es.BytesPerRound(), "bytes/round")
@@ -69,10 +80,10 @@ func BenchmarkPartitionedCSRER100k(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionedDeltaSteadyER100k is the sharded leg of the delta
-// steady-state bench at 1% churn: the delta frontier bounds the per-round
-// work AND the per-round exchange to the dirty boundary, so bytes/round here
-// is the steady-state network cost of keeping k shards coherent.
+// BenchmarkPartitionedDeltaSteadyER100k prices the delta steady-state bench
+// at 1% churn: the delta frontier bounds the per-round work and the
+// per-round exchange to the dirty boundary, so bytes/round here is the
+// steady-state network cost of keeping k shards coherent.
 func BenchmarkPartitionedDeltaSteadyER100k(b *testing.B) {
 	csr := erGraph().Freeze()
 	init := func(v int) int { return v * 2654435761 % 1_000_003 }
@@ -85,20 +96,20 @@ func BenchmarkPartitionedDeltaSteadyER100k(b *testing.B) {
 		}
 	}
 	sch := sim.Schedule{Horizon: rounds, Events: events}
+	recorded := map[int][2]float64{4: {23173, 185385}, 8: {41989, 335913}}
 	for _, k := range []int{4, 8} {
 		b.Run(fmt.Sprintf("churn=1%%/delta/shards=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
-			var es partition.ExchangeStats
-			plan := benchPlan(b, csr, k, partition.WithExchangeStats(&es))
+			plan := benchPlan(b, csr, k)
 			b.ResetTimer()
 			var steadyNs, steadyMsgs float64
+			var es partition.ExchangeStats
 			for i := 0; i < b.N; i++ {
-				_, st, err := runtime.RunCSR(csr, init, maxStep,
+				_, st, ex, err := partition.Run(plan, init, maxStep,
+					sim.NewPerturber(erGraph(), 3, sch),
 					runtime.WithMaxRounds(rounds),
-					runtime.WithPerturber(sim.NewPerturber(erGraph(), 3, sch)),
 					runtime.WithDelta(),
-					runtime.WithParallelism(k),
-					runtime.WithPartition(plan))
+					runtime.WithParallelism(k))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -116,7 +127,9 @@ func BenchmarkPartitionedDeltaSteadyER100k(b *testing.B) {
 				}
 				steadyNs = float64(sum.Nanoseconds()) / float64(cnt)
 				steadyMsgs = float64(msgs) / float64(cnt)
+				es = ex
 			}
+			checkExchange(b, es, recorded[k][0], recorded[k][1])
 			b.ReportMetric(steadyNs, "steady-ns/round")
 			b.ReportMetric(steadyMsgs, "steady-msgs/round")
 			b.ReportMetric(es.ValuesPerRound(), "values/round")
@@ -146,30 +159,27 @@ func er10m() *graph.CSR {
 }
 
 // BenchmarkPartitionedER10M is the scale target: a 10M-node / ~30M-edge
-// sparse ER graph, partitioned into 8 degree-balanced shards and run to a
-// 12-round distributed-max horizon in delta mode. One op is plan build plus
-// the full run — the end-to-end cost of standing up and executing a sharded
-// computation at the paper's "millions of nodes" regime. Run with
-// -benchtime 1x; rounds/sec is the steady throughput, the cut/ghost metrics
-// record the partition quality at this scale.
+// sparse ER graph, priced on 8 degree-balanced shards over a 12-round
+// distributed-max horizon in delta mode. One op is plan build plus the
+// metered run. Run with -benchtime 1x; rounds/sec is the unsharded delta
+// kernel's throughput with metering, the cut/ghost metrics record the
+// partition quality at this scale, and bytes/round is pinned to the
+// recorded trajectory.
 func BenchmarkPartitionedER10M(b *testing.B) {
 	csr := er10m()
 	init := func(v int) int { return v * 2654435761 % 1_000_003 }
 	b.ReportAllocs()
 	b.ResetTimer()
-	var roundsPerSec, cutFrac, ghostFrac, bytesPerRound float64
+	var roundsPerSec, cutFrac, ghostFrac float64
+	var es partition.ExchangeStats
 	for i := 0; i < b.N; i++ {
-		var es partition.ExchangeStats
-		plan, err := partition.New(csr, 8,
-			partition.WithStrategy(partition.DegreeBalanced),
-			partition.WithExchangeStats(&es))
+		plan, err := partition.New(csr, 8, partition.WithStrategy(partition.DegreeBalanced))
 		if err != nil {
 			b.Fatal(err)
 		}
 		start := time.Now()
-		_, st, err := runtime.RunCSR(csr, init, maxStep,
-			runtime.WithMaxRounds(12), runtime.WithDelta(),
-			runtime.WithParallelism(8), runtime.WithPartition(plan))
+		_, st, ex, err := partition.Run(plan, init, maxStep, nil,
+			runtime.WithMaxRounds(12), runtime.WithDelta(), runtime.WithParallelism(8))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -179,10 +189,14 @@ func BenchmarkPartitionedER10M(b *testing.B) {
 		roundsPerSec = float64(st.Rounds) / time.Since(start).Seconds()
 		ps := plan.Stats()
 		cutFrac, ghostFrac = ps.CutFraction, ps.GhostFraction
-		bytesPerRound = es.BytesPerRound()
+		es = ex
+	}
+	// Only bytes/round was recorded for this leg.
+	if by := math.Round(es.BytesPerRound()); by != 163027079 {
+		b.Fatalf("exchange %.0f bytes/round; recorded 163027079", by)
 	}
 	b.ReportMetric(roundsPerSec, "rounds/sec")
 	b.ReportMetric(cutFrac, "cut-frac")
 	b.ReportMetric(ghostFrac, "ghost-frac")
-	b.ReportMetric(bytesPerRound, "bytes/round")
+	b.ReportMetric(es.BytesPerRound(), "bytes/round")
 }

@@ -24,26 +24,13 @@ func (b bitset) reset() {
 }
 
 // setAll sets bits [0, n) and leaves the tail of the last word clear, so
-// iteration and count never see ghost nodes.
+// iteration and count never see nodes at or past n.
 func (b bitset) setAll(n int) {
 	for i := range b {
 		b[i] = ^uint64(0)
 	}
 	if r := uint(n) & 63; r != 0 && len(b) > 0 {
 		b[len(b)-1] = ^uint64(0) >> (64 - r)
-	}
-}
-
-// setFirst sets bits [0, n) and leaves every later bit clear — the setAll
-// variant for bitsets whose backing array extends past n, such as shard-local
-// sets whose tail words belong to ghost replicas.
-func (b bitset) setFirst(n int) {
-	full := n >> 6
-	for i := 0; i < full; i++ {
-		b[i] = ^uint64(0)
-	}
-	if r := uint(n) & 63; r != 0 {
-		b[full] = ^uint64(0) >> (64 - r)
 	}
 }
 
@@ -68,32 +55,6 @@ func (b bitset) any() bool {
 
 // copyFrom overwrites b with src (same length).
 func (b bitset) copyFrom(src bitset) { copy(b, src) }
-
-// forEachIn calls fn for every set bit in [lo, hi) in ascending order. lo and
-// hi need not be word-aligned.
-func (b bitset) forEachIn(lo, hi int, fn func(v int)) {
-	if lo >= hi {
-		return
-	}
-	for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
-		w := b[wi]
-		if w == 0 {
-			continue
-		}
-		base := wi << 6
-		// Mask off bits below lo and at/above hi within boundary words.
-		if base < lo {
-			w &= ^uint64(0) << (uint(lo) & 63)
-		}
-		if base+64 > hi {
-			w &= ^uint64(0) >> (64 - (uint(hi-1)&63 + 1))
-		}
-		for w != 0 {
-			fn(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-}
 
 // appendBits appends every set bit of b to out in ascending order.
 func (b bitset) appendBits(out []int) []int {

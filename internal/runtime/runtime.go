@@ -52,7 +52,6 @@ type config struct {
 	observer     RoundObserver
 	perturber    Perturber
 	delta        bool
-	partition    Partition
 	ctx          context.Context
 	ckptEvery    int
 	ckptSink     any // func(Checkpoint[S]); asserted back in RunCSR
@@ -144,9 +143,6 @@ func RunCSR[S any](
 	}
 	if workers > n {
 		workers = n
-	}
-	if cfg.partition != nil {
-		return runSharded(g, init, step, cfg, workers)
 	}
 	if cfg.delta {
 		if cfg.perturber != nil {
