@@ -12,9 +12,10 @@ build:
 test:
 	$(GO) test ./...
 
-# The parallel kernel must stay race-clean: the sharded stepping in
-# internal/runtime (full-sweep and delta-frontier paths — the cross-engine
-# delta equivalence tests run sharded), the partition cost model whose step
+# The parallel kernel must stay race-clean: the sharded stepping of
+# internal/runtime's one round loop (full and delta mode, clean and
+# perturbed; the fingerprint and cross-engine delta equivalence tests run
+# on real word-aligned shards), the partition cost model whose step
 # wrapper writes per-node change slots from every worker, the labeling
 # schemes that drive it hardest, the
 # fault-injection harness plus the algorithm packages it perturbs, the
@@ -34,15 +35,15 @@ race:
 		./internal/hypercube/... ./internal/heal/... ./internal/async/... \
 		./internal/server/... ./internal/wal/... ./internal/replica/...
 
-# Sequential vs. sharded kernel on 100k-node ER and 20k-node UDG graphs,
-# the delta-frontier steady-state sweep on the same ER instance (full vs
-# delta round cost under scripted churn), the partitioned legs of both
-# (the same runs priced on k edge-cut shards, failing unless the exchange
-# equals the recorded trajectory), the async executor priced on one full
-# quiescence, and the
-# structure server's query throughput under churn. The async, 10M-node
-# partitioned and serve legs run one complete workload per op, so they get
-# -benchtime 1x while the other legs average over 3.
+# The round loop in full mode, sequential vs. sharded, on 100k-node ER and
+# 20k-node UDG graphs; the same loop's steady-state sweep on the ER
+# instance under scripted churn (full vs delta mode round cost); the
+# partitioned legs of both (the same runs priced on k edge-cut shards,
+# failing unless the exchange equals the recorded trajectory); the async
+# executor priced on one full quiescence; and the structure server's query
+# throughput under churn. The async, 10M-node partitioned and serve legs
+# run one complete workload per op, so they get -benchtime 1x while the
+# other legs average over 3.
 bench:
 	$(GO) test -run '^$$' -bench 'Kernel|Freeze' -benchtime 3x ./internal/runtime/bench
 	$(GO) test -run '^$$' -bench DeltaSteady -benchtime 3x ./internal/runtime/bench
@@ -87,9 +88,10 @@ bench-smoke:
 		| $(GO) run ./cmd/benchjson -o /dev/null
 
 # Short native-fuzz pass over the serialization boundaries, the async
-# delivery pipeline's FIFO-per-link ordering, and the edge-cut partitioner
+# delivery pipeline's FIFO-per-link ordering, the edge-cut partitioner
 # (plan invariants plus exchange cost model == brute-force recount on
-# arbitrary graphs). 10s per target keeps the gate cheap; longer campaigns run the
+# arbitrary graphs), and the server's HTTP handlers (no panic, no 5xx,
+# JSON from every endpoint for any request). 10s per target keeps the gate cheap; longer campaigns run the
 # same targets by hand.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFreezeRoundTrip -fuzztime 10s ./internal/graph/
@@ -99,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzRecover -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzLabelDelta -fuzztime 10s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzHandlers -fuzztime 10s ./internal/server/
 
 # Supervised MIS must survive 200 rounds of add/remove churn with zero
 # standing violations; the heal subcommand exits nonzero otherwise.

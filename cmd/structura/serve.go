@@ -23,18 +23,32 @@ import (
 )
 
 // readHeaderTimeout bounds how long a client may take to send a request's
-// headers, and idleTimeout how long a keep-alive connection may sit idle
-// between requests, so a slow, stalled or abandoned client cannot pin a
-// connection forever.
+// headers, readTimeout how long it may take to send the whole request,
+// and idleTimeout how long a keep-alive connection may sit idle between
+// requests, so a slow, stalled or abandoned client cannot pin a connection
+// forever.
+//
+// readTimeout must still admit the largest body /mutate accepts,
+// (QueueDepth+BatchMax+1)×128 B. At the default 4096-deep queue and 256-op
+// batches that is 557,184 B, so 30 s refuses only a sender slower than
+// about 19 KB/s, while a trickling slowloris body is cut off instead of
+// holding its connection. The body bound grows with -queue and -batch-max;
+// even a 100k-deep queue needs only about 430 KB/s.
 const (
 	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
 	idleTimeout       = 120 * time.Second
 )
 
 // newHTTPServer is the one http.Server both the serve and replicate
 // listeners use, with the hostile-client timeouts set.
 func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // runServe is the `structura serve` subcommand: stand up the resident

@@ -57,6 +57,9 @@ func TestNewHTTPServerTimeouts(t *testing.T) {
 	if srv.ReadHeaderTimeout != 10*time.Second || srv.IdleTimeout != 120*time.Second {
 		t.Fatalf("ReadHeaderTimeout=%v IdleTimeout=%v, want 10s and 2m0s", srv.ReadHeaderTimeout, srv.IdleTimeout)
 	}
+	if srv.ReadTimeout != 30*time.Second {
+		t.Fatalf("ReadTimeout=%v, want 30s", srv.ReadTimeout)
+	}
 	if srv.Handler == nil {
 		t.Fatal("handler not installed")
 	}

@@ -509,12 +509,12 @@ func (x *Executor[S]) rowIndex(v, w int) (int, bool) {
 
 // refreeze rebuilds the CSR snapshot and every row-aligned array after a
 // topology change, carrying link state over surviving links. New links get
-// the handshake convention of runtime's remapSeen: the view initializes to
-// the neighbor's current state. Sequence counters of removed links persist
-// in seqMem so a re-added link resumes its numbering — and a re-added
-// link's inSeq starts at the peer's outbox counter, which makes any still
-// in-flight pre-removal message a stale duplicate instead of a view
-// regression.
+// the handshake convention of the round kernel's perturbed path (runtime's
+// remap): the view initializes to the neighbor's current state. Sequence
+// counters of removed links persist in seqMem so a re-added link resumes
+// its numbering — and a re-added link's inSeq starts at the peer's outbox
+// counter, which makes any still in-flight pre-removal message a stale
+// duplicate instead of a view regression.
 func (x *Executor[S]) refreeze() {
 	oldCSR := x.csr
 	oldViews, oldIn, oldOut := x.views, x.inSeq, x.out

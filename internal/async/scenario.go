@@ -2,11 +2,9 @@ package async
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"structura/internal/graph"
-	"structura/internal/hypercube"
 	"structura/internal/labeling"
 	"structura/internal/reversal"
 	"structura/internal/sim"
@@ -162,43 +160,10 @@ func recoveryRounds(w *sim.World) int {
 
 // ---- scenarios ---------------------------------------------------------
 
-// misState mirrors the per-node state of labeling.DistributedMIS.
-type misState struct {
-	Color labeling.Color
-	Prio  float64
-}
-
 func runMIS(seed uint64, sch sim.Schedule, cfg Config) (*sim.World, Stats, error) {
 	g := sim.MISGraph(seed)
-	prio := labeling.PriorityByID(g.N())
-	// The step is labeling.DistributedMIS's rule verbatim: a Black neighbor
-	// retires a White node to Gray; a White local priority maximum turns
-	// Black.
-	x, err := NewExecutor(g,
-		func(v int) misState { return misState{Color: labeling.White, Prio: prio[v]} },
-		func(v int, self misState, nbrs []misState) (misState, bool) {
-			if self.Color != labeling.White {
-				return self, false
-			}
-			for _, nb := range nbrs {
-				if nb.Color == labeling.Black {
-					self.Color = labeling.Gray
-					return self, true
-				}
-			}
-			localMax := true
-			for _, nb := range nbrs {
-				if nb.Color == labeling.White && nb.Prio > self.Prio {
-					localMax = false
-					break
-				}
-			}
-			if localMax {
-				self.Color = labeling.Black
-				return self, true
-			}
-			return self, false
-		}, sch, cfg)
+	init, step := labeling.MISRule(labeling.PriorityByID(g.N()))
+	x, err := NewExecutor(g, init, step, sch, cfg)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -223,25 +188,8 @@ func runMIS(seed uint64, sch sim.Schedule, cfg Config) (*sim.World, Stats, error
 func runDistVec(seed uint64, sch sim.Schedule, cfg Config) (*sim.World, Stats, error) {
 	g := sim.DistVecRing(seed)
 	const dest = 0
-	x, err := NewExecutor(g,
-		func(v int) float64 {
-			if v == dest {
-				return 0
-			}
-			return math.Inf(1)
-		},
-		func(v int, self float64, nbrs []float64) (float64, bool) {
-			if v == dest {
-				return 0, false
-			}
-			best := math.Inf(1)
-			for _, d := range nbrs {
-				if d+1 < best {
-					best = d + 1
-				}
-			}
-			return best, best != self
-		}, sch, cfg)
+	init, step := sim.HopCountRule(dest)
+	x, err := NewExecutor(g, init, step, sch, cfg)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -259,41 +207,12 @@ func runDistVec(seed uint64, sch sim.Schedule, cfg Config) (*sim.World, Stats, e
 	}, st, nil
 }
 
-// cubeSt mirrors sim's monotonicity-instrumented safety-level state.
-type cubeSt struct {
-	Level, Min, Peak int
-}
-
 func runCube(seed uint64, sch sim.Schedule, cfg Config) (*sim.World, Stats, error) {
 	cube := sim.FaultyCube(seed)
 	g := cube.Graph()
 	dim := cube.Dim()
-	x, err := NewExecutor(g,
-		func(v int) cubeSt {
-			if cube.Faulty(v) {
-				return cubeSt{Level: 0, Min: 0}
-			}
-			return cubeSt{Level: dim, Min: dim}
-		},
-		func(v int, self cubeSt, nbrs []cubeSt) (cubeSt, bool) {
-			if cube.Faulty(v) {
-				return cubeSt{Level: 0, Min: 0}, self.Level != 0
-			}
-			nl := make([]int, len(nbrs))
-			for i, s := range nbrs {
-				nl[i] = s.Level
-			}
-			l := hypercube.LevelFromNeighborLevels(nl, dim)
-			out := self
-			out.Level = l
-			if l > out.Min && l > out.Peak {
-				out.Peak = l
-			}
-			if l < out.Min {
-				out.Min = l
-			}
-			return out, out != self
-		}, sch, cfg)
+	init, step := sim.SafetyLevelRule(cube)
+	x, err := NewExecutor(g, init, step, sch, cfg)
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -75,7 +75,7 @@ func (e *misEngine) Repair(viols []sim.Violation, b Budget) RepairOutcome {
 
 func (e *misEngine) Recompute() (int, error) {
 	// Escalation re-runs the full election under delta-frontier stepping:
-	// the outcome is bit-identical to the full kernel, and a supervised
+	// the outcome is bit-identical to full mode, and a supervised
 	// recompute is exactly the steady-state regime (most of the graph is
 	// already at the fixed point) where frontier rounds are O(changes).
 	res, err := labeling.DistributedMIS(e.g, e.prio, runtime.WithDelta())

@@ -181,6 +181,47 @@ type MISResult struct {
 // harnesses can inspect the stale state instead of losing it.
 var ErrUnstable = errors.New("labeling: MIS did not stabilize")
 
+// MISState is one node's state in DistributedMIS's election: its color and
+// its fixed priority.
+type MISState struct {
+	Color Color
+	Prio  float64
+}
+
+// MISRule returns DistributedMIS's round rule for any executor: every node
+// starts White with its priority; per round a Black neighbor retires a
+// White node to Gray, and a White node that is the priority maximum among
+// its White neighbors turns Black.
+func MISRule(prio Priority) (init func(v int) MISState, step func(v int, self MISState, nbrs []MISState) (MISState, bool)) {
+	init = func(v int) MISState { return MISState{Color: White, Prio: prio[v]} }
+	return init, misStep
+}
+
+func misStep(v int, self MISState, nbrs []MISState) (MISState, bool) {
+	if self.Color != White {
+		return self, false
+	}
+	// Gray takes precedence: a black neighbor retires this node.
+	for _, nb := range nbrs {
+		if nb.Color == Black {
+			self.Color = Gray
+			return self, true
+		}
+	}
+	localMax := true
+	for _, nb := range nbrs {
+		if nb.Color == White && nb.Prio > self.Prio {
+			localMax = false
+			break
+		}
+	}
+	if localMax {
+		self.Color = Black
+		return self, true
+	}
+	return self, false
+}
+
 // DistributedMIS runs the paper's three-color clusterhead election: per
 // round, every White node that is the local priority maximum among its
 // White neighbors turns Black; White neighbors of Black nodes turn Gray.
@@ -192,42 +233,15 @@ func DistributedMIS(g *graph.Graph, prio Priority, opts ...runtime.Option) (MISR
 	if err := prio.validate(n); err != nil {
 		return MISResult{}, err
 	}
-	type state struct {
-		color Color
-		prio  float64
-	}
-	states, stats, err := runtime.Run(g,
-		func(v int) state { return state{color: White, prio: prio[v]} },
-		func(v int, self state, nbrs []state) (state, bool) {
-			if self.color != White {
-				return self, false
-			}
-			// Gray takes precedence: a black neighbor retires this node.
-			for _, nb := range nbrs {
-				if nb.color == Black {
-					self.color = Gray
-					return self, true
-				}
-			}
-			localMax := true
-			for _, nb := range nbrs {
-				if nb.color == White && nb.prio > self.prio {
-					localMax = false
-					break
-				}
-			}
-			if localMax {
-				self.color = Black
-				return self, true
-			}
-			return self, false
-		}, append([]runtime.Option{runtime.WithMaxRounds(4*n + 4)}, opts...)...)
+	init, step := MISRule(prio)
+	states, stats, err := runtime.Run(g, init, step,
+		append([]runtime.Option{runtime.WithMaxRounds(4*n + 4)}, opts...)...)
 	if err != nil {
 		return MISResult{}, err
 	}
 	colors := make([]Color, n)
 	for v, s := range states {
-		colors[v] = s.color
+		colors[v] = s.Color
 	}
 	if !stats.Stable {
 		// Return the partial labels with the error: fault-injection

@@ -3,7 +3,7 @@ package runtime
 import "math/bits"
 
 // bitset is a dense bit vector over node IDs, the frontier representation of
-// the delta kernel: set/clear/test are O(1), iteration skips empty words, and
+// the round loop: set/clear/test are O(1), iteration skips empty words, and
 // the word layout lets word-aligned shards write disjoint ranges without
 // synchronization.
 type bitset []uint64
@@ -52,9 +52,6 @@ func (b bitset) any() bool {
 	}
 	return false
 }
-
-// copyFrom overwrites b with src (same length).
-func (b bitset) copyFrom(src bitset) { copy(b, src) }
 
 // appendBits appends every set bit of b to out in ascending order.
 func (b bitset) appendBits(out []int) []int {

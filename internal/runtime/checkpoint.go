@@ -10,7 +10,8 @@ import (
 // committed round: resuming from it continues the run exactly where it
 // stopped, producing per-round history and final states bit-identical to
 // an uninterrupted run (RoundStats.Elapsed, a wall-clock measure, is the
-// one field equality claims must ignore).
+// one field equality claims must ignore). The one round loop writes it in
+// both modes; what it holds depends on the mode and path.
 //
 // Seen carries the per-node neighbor-view buffers of the perturbed path
 // (WithPerturber) and is nil for checkpoints taken on the clean path.
@@ -20,10 +21,10 @@ import (
 // under WithDelta: Changed is the checkpoint round's changed set (the next
 // round's senders), Frontier the already-built next-round frontier, and
 // Pending the per-link suppressed-delivery retry bits of the perturbed
-// path (row-aligned to the checkpoint round's adjacency, like Seen). A
-// checkpoint resumes only into a run of the same mode: the frontier state
-// is meaningless to the full kernel, and a full-kernel checkpoint lacks
-// the state a delta run needs.
+// path (row-aligned to the checkpoint round's adjacency, like Seen). Full
+// mode pins its frontier to every node and keeps no retry state, so it
+// writes none of these fields. A checkpoint resumes only into a run of the
+// same mode: a full-mode checkpoint lacks the state a delta run needs.
 type Checkpoint[S any] struct {
 	Round    int      `json:"round"`
 	States   []S      `json:"states"`

@@ -19,7 +19,7 @@ import (
 //
 // Connected (so the CDS backbone exists), with hand-checkable labels:
 // BFS from 0 gives dist {0,1,2,2,3,4}; degrees are {1,3,2,3,2,1}.
-func fixtureGraph(t *testing.T) *graph.Graph {
+func fixtureGraph(t testing.TB) *graph.Graph {
 	t.Helper()
 	g := graph.New(6)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {1, 3}} {
@@ -30,7 +30,7 @@ func fixtureGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-func newFixtureServer(t *testing.T, cfg Config) *Server {
+func newFixtureServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	srv, err := New(fixtureGraph(t), cfg)
 	if err != nil {

@@ -102,18 +102,26 @@ func TestBatchEdgeCasesOnSharedTopology(t *testing.T) {
 	missU, missV := nonEdge(g)
 
 	// Park the writer on a first op so the whole second post drains as one
-	// batch. Once parked is closed the hook returns at once.
+	// batch. The writer must be inside the hook, not merely past its
+	// receive of the first op: until it reaches the hook it is still
+	// draining the queue into the first batch. Once parked is closed the
+	// hook returns at once.
 	parked := make(chan struct{})
-	s.testHookBatch = func() { <-parked }
+	reached := make(chan struct{}, 1)
+	s.testHookBatch = func() {
+		select {
+		case reached <- struct{}{}:
+		default:
+		}
+		<-parked
+	}
 	if code := postMutations(t, s.Handler(), []Mutation{{Op: "add", U: dup.From, V: dup.To}}); code != http.StatusAccepted {
 		t.Fatalf("first mutate: status %d", code)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.mutCh) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("writer never picked up the first op")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-reached:
+	case <-time.After(5 * time.Second):
+		t.Fatal("writer never picked up the first op")
 	}
 	batch := []Mutation{
 		{Op: "add", U: dup.From, V: dup.To},

@@ -279,34 +279,42 @@ func runBinaryScenario(seed uint64, sch Schedule, workers int) (*World, error) {
 	return runReversalLoop("reversal-binary", b, g.Clone(), seed, sch)
 }
 
+// HopCountRule returns the hop-count distance-vector rule the distvec
+// scenarios run, on the round kernel and on the async executor alike: dest
+// holds 0, every other node starts at +Inf and takes one more than its best
+// neighbor view. The step reads the neighbor views alone (no captured CSR),
+// so it stays well-defined when a perturber swaps the topology mid-run —
+// unlike distvec.Compute, whose weighted step reads the frozen snapshot it
+// was built on.
+func HopCountRule(dest int) (init func(v int) float64, step func(v int, self float64, nbrs []float64) (float64, bool)) {
+	init = func(v int) float64 {
+		if v == dest {
+			return 0
+		}
+		return math.Inf(1)
+	}
+	step = func(v int, self float64, nbrs []float64) (float64, bool) {
+		if v == dest {
+			return 0, false
+		}
+		best := math.Inf(1)
+		for _, d := range nbrs {
+			if d+1 < best {
+				best = d + 1
+			}
+		}
+		return best, best != self
+	}
+	return init, step
+}
+
 func runDistVecScenario(seed uint64, sch Schedule, workers int) (*World, error) {
-	// The step below recomputes hop counts from the neighbor views alone (no
-	// captured CSR), so it stays well-defined when the perturber swaps the
-	// topology mid-run — unlike distvec.Compute, whose weighted step reads
-	// the frozen snapshot it was built on.
 	g := DistVecRing(seed)
 	const dest = 0
 	per := NewPerturber(g, seed, sch)
 	per.EnableTrace()
-	dist, stats, err := runtime.RunCSR(g.Freeze(),
-		func(v int) float64 {
-			if v == dest {
-				return 0
-			}
-			return math.Inf(1)
-		},
-		func(v int, self float64, nbrs []float64) (float64, bool) {
-			if v == dest {
-				return 0, false
-			}
-			best := math.Inf(1)
-			for _, d := range nbrs {
-				if d+1 < best {
-					best = d + 1
-				}
-			}
-			return best, best != self
-		},
+	init, step := HopCountRule(dest)
+	dist, stats, err := runtime.RunCSR(g.Freeze(), init, step,
 		runtime.WithPerturber(per),
 		runtime.WithMaxRounds(sch.budget(g.N())),
 		runtime.WithParallelism(workers),
@@ -324,11 +332,45 @@ func runDistVecScenario(seed uint64, sch Schedule, workers int) (*World, error) 
 	}, nil
 }
 
-// cubeState is the per-node state of the monotonicity-instrumented safety
+// CubeState is the per-node state of the monotonicity-instrumented safety
 // level process: the current level, the minimum ever announced, and the peak
 // reached after that minimum (zero while levels behave monotonically).
-type cubeState struct {
+type CubeState struct {
 	Level, Min, Peak int
+}
+
+// SafetyLevelRule returns the instrumented safety-level rule the hypercube
+// scenarios run on cube: faulty nodes hold level 0, healthy ones start at
+// the cube's dimension and recompute their level from the neighbor levels
+// each round, tracking Min and Peak.
+func SafetyLevelRule(cube *hypercube.Cube) (init func(v int) CubeState, step func(v int, self CubeState, nbrs []CubeState) (CubeState, bool)) {
+	dim := cube.Dim()
+	init = func(v int) CubeState {
+		if cube.Faulty(v) {
+			return CubeState{Level: 0, Min: 0}
+		}
+		return CubeState{Level: dim, Min: dim}
+	}
+	step = func(v int, self CubeState, nbrs []CubeState) (CubeState, bool) {
+		if cube.Faulty(v) {
+			return CubeState{Level: 0, Min: 0}, self.Level != 0
+		}
+		nl := make([]int, len(nbrs))
+		for i, s := range nbrs {
+			nl[i] = s.Level
+		}
+		l := hypercube.LevelFromNeighborLevels(nl, dim)
+		out := self
+		out.Level = l
+		if l > out.Min && l > out.Peak {
+			out.Peak = l
+		}
+		if l < out.Min {
+			out.Min = l
+		}
+		return out, out != self
+	}
+	return init, step
 }
 
 func runCubeScenario(seed uint64, sch Schedule, workers int) (*World, error) {
@@ -336,32 +378,8 @@ func runCubeScenario(seed uint64, sch Schedule, workers int) (*World, error) {
 	g := cube.Graph()
 	per := NewPerturber(g, seed, sch)
 	per.EnableTrace()
-	states, stats, err := runtime.RunCSR(g.Freeze(),
-		func(v int) cubeState {
-			if cube.Faulty(v) {
-				return cubeState{Level: 0, Min: 0}
-			}
-			return cubeState{Level: cubeDim, Min: cubeDim}
-		},
-		func(v int, self cubeState, nbrs []cubeState) (cubeState, bool) {
-			if cube.Faulty(v) {
-				return cubeState{Level: 0, Min: 0}, self.Level != 0
-			}
-			nl := make([]int, len(nbrs))
-			for i, s := range nbrs {
-				nl[i] = s.Level
-			}
-			l := hypercube.LevelFromNeighborLevels(nl, cubeDim)
-			out := self
-			out.Level = l
-			if l > out.Min && l > out.Peak {
-				out.Peak = l
-			}
-			if l < out.Min {
-				out.Min = l
-			}
-			return out, out != self
-		},
+	init, step := SafetyLevelRule(cube)
+	states, stats, err := runtime.RunCSR(g.Freeze(), init, step,
 		runtime.WithPerturber(per),
 		runtime.WithMaxRounds(sch.budget(g.N())),
 		runtime.WithParallelism(workers),
