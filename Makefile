@@ -4,10 +4,19 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-diff bench-smoke fuzz-smoke heal-smoke async-smoke partition-smoke serve-smoke wal-smoke replica-smoke perfbench-test verify
+.PHONY: build fmt vet test race bench bench-json bench-diff bench-smoke fuzz-smoke heal-smoke async-smoke partition-smoke serve-smoke wal-smoke replica-smoke perfbench-test verify
 
 build:
 	$(GO) build ./...
+
+# Every Go file is gofmt-clean, and vet passes over the repo and over the
+# benchmark module, which is compiled against these packages.
+fmt:
+	test -z "$$(gofmt -l .)"
+
+vet:
+	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -154,4 +163,4 @@ replica-smoke:
 perfbench-test:
 	cd perfbench && $(GO) test ./...
 
-verify: build test race bench-smoke fuzz-smoke heal-smoke async-smoke partition-smoke serve-smoke wal-smoke replica-smoke perfbench-test bench-diff
+verify: build fmt vet test race bench-smoke fuzz-smoke heal-smoke async-smoke partition-smoke serve-smoke wal-smoke replica-smoke perfbench-test bench-diff

@@ -217,7 +217,7 @@ func runServe(args []string, out io.Writer) error {
 	}
 	ep := srv.Epoch()
 	fmt.Fprintf(out, "serving %d node(s), %d edge(s), dest %d, epoch %d\n",
-		ep.CSR.N(), ep.CSR.M(), ep.Dest, ep.Seq)
+		ep.CSR.N(), ep.CSR.M(), ep.Labels.Dest, ep.Seq)
 
 	shutdown := func() error {
 		if repl != nil {

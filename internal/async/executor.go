@@ -79,9 +79,8 @@ type dropKey struct {
 }
 
 // Executor runs one step function under partial synchrony. Build with
-// NewExecutor, drive with Run (one-shot to quiescence) — or incrementally
-// via the unexported advance/apply surface the heal adapter uses. An
-// Executor is single-run and not safe for concurrent use: determinism comes
+// NewExecutor, drive with Run (one-shot to quiescence). An Executor is
+// single-run and not safe for concurrent use: determinism comes
 // from the one event loop.
 type Executor[S any] struct {
 	cfg  Config
@@ -116,9 +115,7 @@ type Executor[S any] struct {
 	downR       []int   // round-granular crash bookkeeping (draw guards)
 	skipR       []int
 
-	state       []S
-	changed     []bool
-	changedList []int
+	state []S
 
 	// Calendar event queue: a ring of per-tick FIFO buckets for the near
 	// window plus an overflow min-heap for the rare event scheduled further
@@ -163,7 +160,6 @@ type Executor[S any] struct {
 	trace     []sim.Event
 	lastFault int
 
-	started        bool
 	budgetExceeded bool
 	eventsSinceCtx int
 }
@@ -237,7 +233,6 @@ func NewExecutor[S any](g *graph.Graph, init func(int) S, step func(int, S, []S)
 	x.pauseTicks = make([]Ticks, n)
 	x.downR = make([]int, n)
 	x.skipR = make([]int, n)
-	x.changed = make([]bool, n)
 	x.bkt = make([][]event[S], bktSpan)
 	x.bktHead = make([]int, bktSpan)
 	for v := 0; v < n; v++ {
@@ -298,7 +293,7 @@ func (x *Executor[S]) LastFaultRound() int { return x.lastFault }
 func (x *Executor[S]) Run() ([]S, Stats, error) {
 	t0 := timeNow()
 	x.start()
-	err := x.loop(math.MaxInt64, true)
+	err := x.loop()
 	x.finalize()
 	x.stats.Wall = timeSince(t0)
 	return x.States(), x.stats, err
@@ -626,25 +621,6 @@ func (x *Executor[S]) noteFault(round int) {
 	}
 }
 
-func (x *Executor[S]) markChanged(v int) {
-	if !x.changed[v] {
-		x.changed[v] = true
-		x.changedList = append(x.changedList, v)
-	}
-}
-
-// resetChanged clears the changed-node tracker and returns the previous
-// set, sorted.
-func (x *Executor[S]) resetChanged() []int {
-	out := append([]int(nil), x.changedList...)
-	sort.Ints(out)
-	for _, v := range x.changedList {
-		x.changed[v] = false
-	}
-	x.changedList = x.changedList[:0]
-	return out
-}
-
 // ---- protocol ----------------------------------------------------------
 
 // lost decides whether a transmission starting at sendAt is destroyed in
@@ -733,7 +709,6 @@ func (x *Executor[S]) stepNode(v int) {
 		return
 	}
 	x.stats.Changes++
-	x.markChanged(v)
 	x.histAt(x.now).Changed++
 	x.stats.LastActivity = x.now
 	x.broadcast(v)
@@ -960,7 +935,6 @@ func (x *Executor[S]) handleRestart(e event[S]) {
 	}
 	x.state[v] = x.init(v)
 	x.stats.Changes++
-	x.markChanged(v)
 	x.histAt(x.now).Changed++
 	x.stats.LastActivity = x.now
 	x.noteFault(x.window(x.now))
@@ -1128,78 +1102,6 @@ func (x *Executor[S]) pause(v, r, d int) {
 	x.push(event[S]{at: x.pauseTicks[v], kind: evResume, to: v})
 }
 
-// applyEventNow injects one fault event at the current virtual time — the
-// path external fault drivers (the heal Supervisor) use. Such a driver owns
-// the live topology: it has already applied an edge event to x.live under
-// the acceptance rule, so here the executor only refreezes its view and
-// activates the endpoints.
-func (x *Executor[S]) applyEventNow(e sim.Event) (dirty []int, applied bool) {
-	r := x.window(x.now)
-	switch e.Op {
-	case sim.OpAddEdge, sim.OpRemoveEdge:
-		dirty = []int{e.U, e.V}
-		x.refreeze()
-	case sim.OpCrash:
-		if e.U < 0 || e.U >= x.n {
-			return nil, false
-		}
-		d := e.For
-		if d <= 0 {
-			d = 1
-		}
-		x.crash(e.U, r, d)
-		dirty = []int{e.U}
-	case sim.OpSkip:
-		if e.U < 0 || e.U >= x.n {
-			return nil, false
-		}
-		d := e.For
-		if d <= 0 {
-			d = 1
-		}
-		x.pause(e.U, r, d)
-		dirty = []int{e.U}
-	case sim.OpDrop:
-		x.dropWin[dropKey{e.U, e.V, r}] = true
-	default:
-		return nil, false
-	}
-	x.noteFault(r)
-	x.reopen()
-	x.trace = append(x.trace, sim.Event{Round: r, Op: e.Op, U: e.U, V: e.V, For: e.For})
-	for _, v := range dirty {
-		x.stepNode(v)
-	}
-	return dirty, true
-}
-
-// patch force-sets v's state (a repair primitive): the change is broadcast
-// unconditionally so the neighborhood observes it. The patched node does not
-// step by itself — pair with refresh when it should re-derive its label.
-func (x *Executor[S]) patch(v int, s S) {
-	x.reopen()
-	x.state[v] = s
-	x.stats.Changes++
-	x.markChanged(v)
-	x.histAt(x.now).Changed++
-	x.stats.LastActivity = x.now
-	x.broadcast(v)
-}
-
-// refresh asks every live neighbor of v to re-announce its current state on
-// its link toward v — the pull a repair controller performs so a poisoned
-// node re-derives its label from fresh data: each arriving re-announcement
-// updates a view and triggers v's step. Without it a patched node whose
-// neighbors have nothing new to say would keep the patched value forever.
-func (x *Executor[S]) refresh(v int) {
-	x.reopen()
-	x.live.EachNeighbor(v, func(w int, _ float64) {
-		if i, ok := x.rowIndex(w, v); ok && !x.isDown(w) {
-			x.send(w, i, v)
-		}
-	})
-}
-
 // ---- run loop ----------------------------------------------------------
 
 // start performs the one-time prologue: round-1 faults (so a round-1 crash
@@ -1207,10 +1109,6 @@ func (x *Executor[S]) refresh(v int) {
 // activation of every node against its init views, and the first detector
 // probe.
 func (x *Executor[S]) start() {
-	if x.started {
-		return
-	}
-	x.started = true
 	if x.maxFaultRound >= 1 {
 		x.applyRound(1)
 	}
@@ -1220,17 +1118,11 @@ func (x *Executor[S]) start() {
 	x.push(event[S]{at: x.cfg.DetectEvery, kind: evProbe})
 }
 
-// loop processes events in virtual-time order up to `limit`. With
-// stopOnQuiesce it also stops at budget exhaustion or when the detector
-// declares; without it (the incremental mode the heal adapter drives) the
-// budget is the caller's problem and probes keep cycling.
-func (x *Executor[S]) loop(limit Ticks, stopOnQuiesce bool) error {
+// loop processes events in virtual-time order until the detector declares,
+// the budget is exhausted, or the event queue drains.
+func (x *Executor[S]) loop() error {
 	for x.qLen > 0 {
-		at := x.peekAt()
-		if at > limit {
-			break
-		}
-		if stopOnQuiesce && at > x.budgetTicks {
+		if x.peekAt() > x.budgetTicks {
 			x.budgetExceeded = true
 			x.now = x.budgetTicks
 			return nil
@@ -1245,40 +1137,11 @@ func (x *Executor[S]) loop(limit Ticks, stopOnQuiesce bool) error {
 		e := x.pop()
 		x.now = e.at
 		x.dispatch(e)
-		if stopOnQuiesce && x.declared {
+		if x.declared {
 			return nil
 		}
 	}
-	if limit < math.MaxInt64 && x.now < limit {
-		x.now = limit
-	}
 	return x.cfg.Ctx.Err()
-}
-
-// advanceTo drives the loop through every event at or before `limit` and
-// leaves virtual time there.
-func (x *Executor[S]) advanceTo(limit Ticks) error {
-	x.start()
-	return x.loop(limit, false)
-}
-
-// settle advances window by window until the system is passive, up to
-// maxWindows (≤ 0 means the default 4n+8). Returns the windows consumed and
-// whether passivity was reached.
-func (x *Executor[S]) settle(maxWindows int) (int, bool) {
-	x.start() // a fresh executor is vacuously passive until the initial activation
-	if maxWindows <= 0 {
-		maxWindows = 4*x.n + 8
-	}
-	for w := 0; w < maxWindows; w++ {
-		if x.passive() {
-			return w, true
-		}
-		if err := x.advanceTo(x.now + x.cfg.RoundTicks); err != nil {
-			return w, false
-		}
-	}
-	return maxWindows, x.passive()
 }
 
 // finalize freezes the run statistics after the loop ends.

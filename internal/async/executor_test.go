@@ -336,30 +336,3 @@ func TestChurnReaddRejectsStaleInFlight(t *testing.T) {
 	}
 	requireAllEqual(t, states, globalMax(n))
 }
-
-// TestIncrementalSettleAndPatch exercises the unexported surface the heal
-// adapter is built on: event injection at the current virtual time, state
-// patching, and window-bounded settling.
-func TestIncrementalSettleAndPatch(t *testing.T) {
-	const n = 12
-	g := gen.Ring(n)
-	x, err := NewExecutor(g, hashInit, maxRule, sim.Schedule{}, Config{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := x.settle(4*n + 8); !ok {
-		t.Fatal("initial convergence did not settle")
-	}
-	requireAllEqual(t, x.States(), globalMax(n))
-	// Patch a node below the fixpoint, then pull fresh announcements from
-	// its neighbors: the arriving re-announcements must step the node back
-	// up to the fixpoint even though no neighbor state changed.
-	x.patch(3, -1)
-	x.refresh(3)
-	if _, ok := x.settle(4*n + 8); !ok {
-		t.Fatal("post-patch settle did not converge")
-	}
-	if got := x.States()[3]; got != globalMax(n) {
-		t.Fatalf("patched node re-settled at %d, want %d", got, globalMax(n))
-	}
-}

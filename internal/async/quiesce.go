@@ -57,18 +57,5 @@ func (x *Executor[S]) handleProbe() {
 	x.push(event[S]{at: x.now + x.cfg.DetectEvery, kind: evProbe})
 }
 
-// reopen resets the detector after externally injected activity (the heal
-// adapter's fault application and repair patches), restarting the probe
-// chain if a previous declaration stopped it.
-func (x *Executor[S]) reopen() {
-	x.prevPassive = false
-	if x.declared {
-		x.declared = false
-		x.stats.Quiesced = false
-		x.stats.DetectedAt = -1
-		x.push(event[S]{at: x.now + x.cfg.DetectEvery, kind: evProbe})
-	}
-}
-
 func timeNow() time.Time                  { return time.Now() }
 func timeSince(t time.Time) time.Duration { return time.Since(t) }

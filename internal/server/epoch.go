@@ -6,6 +6,7 @@ import (
 
 	"structura/internal/centrality"
 	"structura/internal/graph"
+	"structura/internal/wal"
 )
 
 // Epoch is one immutable published snapshot of the served structures: the
@@ -19,75 +20,48 @@ type Epoch struct {
 	Seq     uint64    // 1-based publication counter
 	Created time.Time // publication instant, for the epoch-age metric
 
-	CSR  *graph.CSR
-	Dest int // destination the route labels point toward
+	CSR *graph.CSR
 
-	// Distance-vector route labels toward Dest: hop distance (+Inf when
-	// unreachable) and next hop (-1 at Dest and when unreachable).
-	RouteDist []float64
-	RouteNext []int
+	// Labels is the writer's one label snapshot of this epoch — the set
+	// handed to the WAL's AppendLabels when the server journals: route
+	// labels toward Labels.Dest (dist +Inf and next -1 when unreachable),
+	// MIS membership under ID priorities, and CDS backbone membership when
+	// Labels.HasCDS (absent with a disconnected support at startup, or
+	// Config.SkipCDS). Labels.Seq is not set; Seq orders epochs.
+	Labels *wal.LabelSet
 
-	// MIS membership under ID priorities.
-	MIS     []bool
-	MISSize int
-
-	// CDS backbone membership; nil when the backbone is not maintained
-	// (disconnected support at startup, or Config.SkipCDS).
-	CDS     []bool
-	CDSSize int
-
-	// Degree-centrality ranking: node IDs by descending degree, ties by
-	// ascending ID (centrality.Ranking), with the parallel score array —
-	// what /centrality/topk slices.
-	Rank []int
-	Deg  []float64
-
-	// Unreachable counts nodes with no route to Dest, a staleness signal
-	// surfaced by /labels and /metrics.
+	// Counts over Labels: MIS members, CDS members, and nodes with no route
+	// to Dest (a staleness signal surfaced by /labels and /metrics).
+	MISSize     int
+	CDSSize     int
 	Unreachable int
+
+	// Degree-centrality ranking: node IDs by descending CSR degree, ties by
+	// ascending ID (centrality.Ranking) — what /centrality/topk slices.
+	Rank []int
 }
 
-// buildEpoch assembles the next epoch from the writer-owned engine state.
-// Only the writer goroutine calls it; every array is freshly allocated so
-// publication hands the readers exclusively immutable data.
-func (s *Server) buildEpoch(seq uint64) *Epoch {
+// buildEpoch assembles the next epoch around the label snapshot ls. Only the
+// writer goroutine calls it; ls and the CSR are fresh, so publication hands
+// the readers exclusively immutable data.
+func (s *Server) buildEpoch(seq uint64, ls *wal.LabelSet) *Epoch {
 	csr := s.g.Freeze()
-	dist, next := s.routeSrc.RouteLabels()
-	mis := s.misSrc.MISLabels()
-	n := csr.N()
-
-	ep := &Epoch{
-		Seq:       seq,
-		Created:   time.Now(),
-		CSR:       csr,
-		Dest:      s.cfg.Dest,
-		RouteDist: dist,
-		RouteNext: next,
-		MIS:       mis,
-	}
-	for _, in := range mis {
-		if in {
-			ep.MISSize++
-		}
-	}
-	for _, d := range dist {
+	ep := &Epoch{Seq: seq, Created: time.Now(), CSR: csr, Labels: ls}
+	for v, d := range ls.Dist {
 		if math.IsInf(d, 1) {
 			ep.Unreachable++
 		}
-	}
-	if s.cdsSrc != nil {
-		members := s.cdsSrc.CDSMembers()
-		bm := make([]bool, n)
-		for _, v := range members {
-			bm[v] = true
+		if ls.MIS[v] {
+			ep.MISSize++
 		}
-		ep.CDS = bm
-		ep.CDSSize = len(members)
+		if ls.HasCDS && ls.CDS[v] {
+			ep.CDSSize++
+		}
 	}
-	ep.Deg = make([]float64, n)
-	for v := 0; v < n; v++ {
-		ep.Deg[v] = float64(csr.Degree(v))
+	deg := make([]float64, csr.N())
+	for v := range deg {
+		deg[v] = float64(csr.Degree(v))
 	}
-	ep.Rank = centrality.Ranking(ep.Deg)
+	ep.Rank = centrality.Ranking(deg)
 	return ep
 }

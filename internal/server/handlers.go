@@ -123,13 +123,14 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusBadRequest, err.Error())
 	}
 	ep := s.epoch.Load()
-	resp := routeResponse{Epoch: ep.Seq, From: from, Dest: ep.Dest, Dist: -1}
-	if d := ep.RouteDist[from]; !math.IsInf(d, 1) {
+	ls := ep.Labels
+	resp := routeResponse{Epoch: ep.Seq, From: from, Dest: ls.Dest, Dist: -1}
+	if d := ls.Dist[from]; !math.IsInf(d, 1) {
 		resp.Dist = d
 		path := []int{from}
-		for v := from; v != ep.Dest; {
-			nx := ep.RouteNext[v]
-			if nx < 0 || len(path) > len(ep.RouteNext) {
+		for v := from; v != ls.Dest; {
+			nx := int(ls.Next[v])
+			if nx < 0 || len(path) > len(ls.Next) {
 				return writeError(w, http.StatusInternalServerError, "next-hop chain does not reach dest")
 			}
 			path = append(path, nx)
@@ -221,7 +222,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) int {
 	nodes := make([]rankedNode, k)
 	for i := 0; i < k; i++ {
 		v := ep.Rank[i]
-		nodes[i] = rankedNode{Node: v, Score: ep.Deg[v]}
+		nodes[i] = rankedNode{Node: v, Score: float64(ep.CSR.Degree(v))}
 	}
 	return writeJSON(w, http.StatusOK, topKResponse{Epoch: ep.Seq, K: k, Nodes: nodes})
 }
@@ -241,11 +242,11 @@ func (s *Server) handleCDSMember(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusBadRequest, err.Error())
 	}
 	ep := s.epoch.Load()
-	if ep.CDS == nil {
+	if !ep.Labels.HasCDS {
 		return writeError(w, http.StatusNotFound, "cds backbone not maintained: "+s.cdsErr)
 	}
 	return writeJSON(w, http.StatusOK, cdsMemberResponse{
-		Epoch: ep.Seq, Node: node, Member: ep.CDS[node], Size: ep.CDSSize,
+		Epoch: ep.Seq, Node: node, Member: ep.Labels.CDS[node], Size: ep.CDSSize,
 	})
 }
 
@@ -277,13 +278,14 @@ type summaryResponse struct {
 func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) int {
 	query := r.URL.Query()
 	ep := s.epoch.Load()
+	ls := ep.Labels
 	if query.Get("node") == "" {
 		cdsSize := -1
-		if ep.CDS != nil {
+		if ls.HasCDS {
 			cdsSize = ep.CDSSize
 		}
 		resp := summaryResponse{
-			Epoch: ep.Seq, Nodes: ep.CSR.N(), Edges: ep.CSR.M(), Dest: ep.Dest,
+			Epoch: ep.Seq, Nodes: ep.CSR.N(), Edges: ep.CSR.M(), Dest: ls.Dest,
 			MISSize: ep.MISSize, CDSSize: cdsSize, Unreachable: ep.Unreachable,
 		}
 		if query.Get("hash") != "" {
@@ -297,13 +299,13 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) int {
 	}
 	resp := nodeLabelsResponse{
 		Epoch: ep.Seq, Node: node, Degree: ep.CSR.Degree(node),
-		RouteDist: -1, RouteNext: ep.RouteNext[node], MIS: ep.MIS[node],
+		RouteDist: -1, RouteNext: int(ls.Next[node]), MIS: ls.MIS[node],
 	}
-	if d := ep.RouteDist[node]; !math.IsInf(d, 1) {
+	if d := ls.Dist[node]; !math.IsInf(d, 1) {
 		resp.RouteDist = d
 	}
-	if ep.CDS != nil {
-		in := ep.CDS[node]
+	if ls.HasCDS {
+		in := ls.CDS[node]
 		resp.CDS = &in
 	}
 	return writeJSON(w, http.StatusOK, resp)
@@ -328,10 +330,15 @@ const maxOpBytes = 128
 // response reports how many ops were accepted before the queue filled). A
 // post with more ops than the queue plus the writer's batch in hand can
 // hold, or a body larger than that many ops can take, could never be
-// accepted whole; it is refused with 413 before anything is enqueued.
+// accepted whole; it is refused with 413 before anything is enqueued. Once
+// the writer has stopped nothing would apply a post, so it is refused with
+// 503 and the writer's reason.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		return writeError(w, http.StatusMethodNotAllowed, "mutate requires POST")
+	}
+	if err := s.writerStopped(); err != nil {
+		return writeError(w, http.StatusServiceUnavailable, "writer stopped: "+err.Error())
 	}
 	maxOps := s.cfg.QueueDepth + s.cfg.BatchMax
 	r.Body = http.MaxBytesReader(w, r.Body, int64(maxOps+1)*maxOpBytes)
@@ -489,7 +496,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	return writeJSON(w, http.StatusOK, snap)
 }
 
+// handleHealthz answers 200 while the writer runs, and 503 with the reason
+// once it has stopped: the server still reads, but accepts no writes.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
+	if err := s.writerStopped(); err != nil {
+		return writeError(w, http.StatusServiceUnavailable, "writer stopped: "+err.Error())
+	}
 	ep := s.epoch.Load()
 	return writeJSON(w, http.StatusOK, struct {
 		Status string `json:"status"`

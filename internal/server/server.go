@@ -139,6 +139,7 @@ type Server struct {
 	ctx        context.Context
 	cancel     context.CancelFunc
 	writerDone chan struct{}
+	stopErr    error // why the writer stopped; set before writerDone closes
 	inflight   sync.WaitGroup
 	closed     atomic.Bool
 
@@ -299,22 +300,14 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 	}
 	s.met.labelNs.Store(labelNs)
 
-	if cfg.WAL != nil {
-		// Make the startup label epoch durable before serving: a process that
-		// crashes before its first mutation batch still leaves labels the
-		// next recovery can warm-start from. A warm start that healed nothing
-		// diffs to zero records, so the steady-state restart is free.
-		if _, err := cfg.WAL.AppendLabels(s.labelSet()); err != nil {
-			s.cancel()
-			return nil, fmt.Errorf("server: journal startup labels: %w", err)
-		}
+	// The startup label epoch is made durable before serving: a process
+	// that crashes before its first mutation batch still leaves labels the
+	// next recovery can warm-start from. A warm start that healed nothing
+	// diffs to zero records, so the steady-state restart is free.
+	if err := s.publish(1); err != nil {
+		s.cancel()
+		return nil, fmt.Errorf("server: startup publish: %w", err)
 	}
-
-	ep := s.buildEpoch(1)
-	if cfg.OnPublish != nil {
-		cfg.OnPublish(ep)
-	}
-	s.epoch.Store(ep)
 
 	readyNs := time.Since(start).Nanoseconds()
 	if rec := cfg.Recovered; rec != nil {
@@ -371,9 +364,9 @@ func (s *Server) supervisors() []*heal.Supervisor {
 	return sups
 }
 
-// labelSet snapshots the writer-owned engine state as one label epoch, the
-// unit AppendLabels journals. Only the writer (or New, before the writer
-// starts) may call it.
+// labelSet snapshots the writer-owned engine state as one label epoch: the
+// one copy of the labels per batch, journaled and then published. Only the
+// writer (or New, before the writer starts) may call it.
 func (s *Server) labelSet() *wal.LabelSet {
 	dist, next := s.routeSrc.RouteLabels()
 	n32 := make([]int32, len(next))
@@ -389,6 +382,25 @@ func (s *Server) labelSet() *wal.LabelSet {
 		ls.HasCDS, ls.CDS = true, bm
 	}
 	return ls
+}
+
+// publish takes the batch's one label snapshot, journals it when the server
+// has a WAL (journal-before-publish: a label epoch is durable before any
+// reader sees it), and publishes it as epoch seq. It fails only when the
+// journal does, and then publishes nothing.
+func (s *Server) publish(seq uint64) error {
+	ls := s.labelSet()
+	if s.cfg.WAL != nil {
+		if _, err := s.cfg.WAL.AppendLabels(ls); err != nil {
+			return fmt.Errorf("journal labels: %w", err)
+		}
+	}
+	ep := s.buildEpoch(seq, ls)
+	if s.cfg.OnPublish != nil {
+		s.cfg.OnPublish(ep)
+	}
+	s.epoch.Store(ep)
+	return nil
 }
 
 // Epoch returns the currently published epoch.
@@ -432,14 +444,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // writer is the single goroutine that owns all label state. It drains the
 // mutation queue in batches, heals each batch through the supervisors, and
-// publishes the next epoch. A batch interrupted by shutdown is abandoned
-// without publishing: the last published epoch stays live and consistent.
+// publishes the next epoch. A batch that cannot be journaled, or that
+// shutdown interrupts, is abandoned without publishing: the last published
+// epoch stays live and consistent, and the writer stops for good, recording
+// why in stopErr for /mutate and /healthz.
 func (s *Server) writer() {
 	defer close(s.writerDone)
 	for {
 		var first Mutation
 		select {
 		case <-s.ctx.Done():
+			s.stopErr = s.ctx.Err()
 			return
 		case first = <-s.mutCh:
 		}
@@ -456,19 +471,30 @@ func (s *Server) writer() {
 		if s.testHookBatch != nil {
 			s.testHookBatch()
 		}
-		if !s.applyBatch(batch) {
-			s.applied.Add(uint64(len(batch)))
-			return // cancelled mid-heal: abandon without publishing
-		}
+		err := s.applyBatch(batch)
 		s.applied.Add(uint64(len(batch)))
+		if err != nil {
+			s.stopErr = err
+			return
+		}
+	}
+}
+
+// writerStopped returns why the writer stopped, or nil while it runs.
+func (s *Server) writerStopped() error {
+	select {
+	case <-s.writerDone:
+		return s.stopErr
+	default:
+		return nil
 	}
 }
 
 // applyBatch applies one mutation batch to the topology, heals it through
-// every supervisor and publishes the resulting epoch. It reports false when
-// the batch could not be made durable or shutdown cancelled the heal — the
+// every supervisor and publishes the resulting epoch. It fails when the
+// batch could not be made durable or shutdown cancelled the heal — the
 // labels may be mid-repair, so nothing is published.
-func (s *Server) applyBatch(batch []Mutation) bool {
+func (s *Server) applyBatch(batch []Mutation) error {
 	events := make([]sim.Event, len(batch))
 	recs := make([]wal.Record, len(batch))
 	for i, m := range batch {
@@ -488,7 +514,7 @@ func (s *Server) applyBatch(batch []Mutation) bool {
 		if _, err := s.cfg.WAL.Append(recs); err != nil {
 			s.met.walFailed.Add(1)
 			s.met.abortedBatches.Add(1)
-			return false
+			return fmt.Errorf("journal batch: %w", err)
 		}
 	} else {
 		for _, e := range events {
@@ -507,27 +533,19 @@ func (s *Server) applyBatch(batch []Mutation) bool {
 		}
 		if err != nil {
 			s.met.abortedBatches.Add(1)
-			return false
+			return fmt.Errorf("heal %s: %w", sup.Engine.Name(), err)
 		}
 	}
-	if s.cfg.WAL != nil {
-		// Journal the healed label epoch after the topology commit and before
-		// publication (journal-before-publish). The deltas are stamped with
-		// the committed batch seq, so recovery can never reconstruct labels
-		// newer than the durable topology — a crash between the topology
-		// commit and here just costs the next start a HealDirty pass.
-		if _, err := s.cfg.WAL.AppendLabels(s.labelSet()); err != nil {
-			s.met.walFailed.Add(1)
-			s.met.abortedBatches.Add(1)
-			return false
-		}
+	// The label snapshot is journaled after the topology commit and before
+	// publication. Its deltas are stamped with the committed batch seq, so
+	// recovery can never reconstruct labels newer than the durable topology
+	// — a crash between the topology commit and here just costs the next
+	// start a HealDirty pass.
+	if err := s.publish(s.epoch.Load().Seq + 1); err != nil {
+		s.met.walFailed.Add(1)
+		s.met.abortedBatches.Add(1)
+		return err
 	}
-	prev := s.epoch.Load()
-	ep := s.buildEpoch(prev.Seq + 1)
-	if s.cfg.OnPublish != nil {
-		s.cfg.OnPublish(ep)
-	}
-	s.epoch.Store(ep)
 	s.met.batches.Add(1)
-	return true
+	return nil
 }

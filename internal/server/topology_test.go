@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -61,6 +63,80 @@ func sharedServer(t *testing.T) (*Server, *wal.Log) {
 	return s, l
 }
 
+// TestPublishEqualsJournal pins the one-snapshot contract on a seeded churn
+// run with the backbone on: every epoch publishes exactly the label set the
+// WAL journaled for it, and its counts are counts of that set.
+func TestPublishEqualsJournal(t *testing.T) {
+	g := chordedRing()
+	l, err := wal.Create("store", g, wal.Options{FS: wal.NewMemFS(), CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	published := 0
+	onPublish := func(ep *Epoch) {
+		published++
+		got, want := ep.Labels, l.Labels()
+		if got.Dest != want.Dest || !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Next, want.Next) ||
+			!slices.Equal(got.MIS, want.MIS) || got.HasCDS != want.HasCDS || !slices.Equal(got.CDS, want.CDS) {
+			t.Errorf("epoch %d publishes labels that differ from the journaled set", ep.Seq)
+		}
+		if !got.HasCDS {
+			t.Errorf("epoch %d: backbone absent on a connected support", ep.Seq)
+		}
+		mis, cds, unreachable := 0, 0, 0
+		for v, d := range got.Dist {
+			if math.IsInf(d, 1) {
+				unreachable++
+			}
+			if got.MIS[v] {
+				mis++
+			}
+			if got.CDS[v] {
+				cds++
+			}
+		}
+		if ep.MISSize != mis || ep.CDSSize != cds || ep.Unreachable != unreachable {
+			t.Errorf("epoch %d: sizes mis %d cds %d unreachable %d, recounts %d %d %d",
+				ep.Seq, ep.MISSize, ep.CDSSize, ep.Unreachable, mis, cds, unreachable)
+		}
+	}
+	s, err := New(g, Config{Dest: 0, WAL: l, OnPublish: onPublish})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+
+	// Churn chords only: the ring keeps the support connected, so the
+	// backbone stays maintained throughout.
+	n := g.N()
+	ring := func(u, v int) bool { return (u-v+n)%n == 1 || (v-u+n)%n == 1 }
+	r := stats.NewRand(23)
+	const batches = 12
+	for b := 0; b < batches; b++ {
+		var ops []Mutation
+		for len(ops) < 4 {
+			u, v := r.Intn(n), r.Intn(n)
+			if u == v || ring(u, v) {
+				continue
+			}
+			op := "add"
+			if r.Intn(2) == 0 {
+				op = "remove"
+			}
+			ops = append(ops, Mutation{Op: op, U: u, V: v})
+		}
+		if code := postMutations(t, s.Handler(), ops); code != http.StatusAccepted {
+			t.Fatalf("batch %d: status %d", b, code)
+		}
+		awaitQuiesced(t, s)
+	}
+	// Each post is awaited, so no batch spans two; the writer may split one.
+	if published < batches+1 {
+		t.Fatalf("%d epochs published, want at least the startup epoch plus %d batches", published, batches)
+	}
+}
+
 // TestSupervisorsShareTheWALGraph pins the one-topology contract: with a
 // WAL, every supervisor's engine reads the log's replica itself.
 func TestSupervisorsShareTheWALGraph(t *testing.T) {
@@ -89,7 +165,7 @@ func TestBatchEdgeCasesOnSharedTopology(t *testing.T) {
 	ep := s.Epoch()
 	x := -1
 	for v := 1; v < g.N(); v++ {
-		if ep.RouteNext[v] >= 0 {
+		if ep.Labels.Next[v] >= 0 {
 			x = v
 			break
 		}
@@ -97,7 +173,7 @@ func TestBatchEdgeCasesOnSharedTopology(t *testing.T) {
 	if x < 0 {
 		t.Fatal("no node with a next hop")
 	}
-	y := ep.RouteNext[x]
+	y := int(ep.Labels.Next[x])
 	dup := g.Edges()[0]
 	missU, missV := nonEdge(g)
 

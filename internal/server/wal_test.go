@@ -169,6 +169,24 @@ func TestServerStopsOnJournalFailure(t *testing.T) {
 	if s.met.walFailed.Load() != 1 {
 		t.Fatalf("walFailed = %d, want 1", s.met.walFailed.Load())
 	}
+
+	// The writer is gone: a further post would never be applied, so it is
+	// refused, and health reports the stopped writer instead of ok.
+	<-s.writerDone
+	for _, req := range []*http.Request{
+		httptest.NewRequest(http.MethodPost, "/mutate", strings.NewReader(`{"ops":[{"op":"add","u":2,"v":21}]}`)),
+		httptest.NewRequest(http.MethodGet, "/healthz", nil),
+	} {
+		rw := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rw, req)
+		if rw.Code != http.StatusServiceUnavailable || !strings.Contains(rw.Body.String(), "writer stopped") {
+			t.Fatalf("%s after the writer stopped: status %d %s, want 503 naming the stopped writer",
+				req.URL.Path, rw.Code, rw.Body.String())
+		}
+	}
+	if !s.Quiesced() {
+		t.Fatal("a refused post left the server unquiesced")
+	}
 }
 
 // TestGate503UntilReady covers the recovery gate: every path (including

@@ -104,13 +104,6 @@ const (
 	maxLabelN = 1 << 28
 )
 
-func (d *LabelDelta) entries() int {
-	if d.Kind == LabelRoute {
-		return len(d.Nodes)
-	}
-	return len(d.Nodes)
-}
-
 // appendLabelDelta appends d's canonical payload encoding to buf.
 func appendLabelDelta(buf []byte, d *LabelDelta) []byte {
 	buf = append(buf, byte(TLabelDelta), labelDeltaVer, byte(d.Kind))

@@ -28,9 +28,9 @@ const (
 	superMagic = "STSB"
 	// superVer 2 adds the generation counter and fencing token; v1
 	// superblocks still decode with gen = fence = 0.
-	superVer   = 2
-	superVer1  = 1
-	logMagic   = "STWL"
+	superVer  = 2
+	superVer1 = 1
+	logMagic  = "STWL"
 	// logVer 2 adds the generation number, making (gen, byte offset) a
 	// globally unique position in the store's log stream — the resume
 	// cursor the replication protocol acks.
