@@ -50,9 +50,11 @@ race:
 # partitioned legs of both (the same runs priced on k edge-cut shards,
 # failing unless the exchange equals the recorded trajectory); the async
 # executor priced on one full quiescence; and the structure server's query
-# throughput under churn. The async, 10M-node partitioned and serve legs
-# run one complete workload per op, so they get -benchtime 1x while the
-# other legs average over 3.
+# throughput under churn; and the epoch ranking of 100k ER degrees on its
+# counting path and, with fractional scores, its comparison path. The
+# async, 10M-node partitioned and serve legs run one complete workload per
+# op, so they get -benchtime 1x; the ranking legs average over 20 and the
+# other legs over 3.
 bench:
 	$(GO) test -run '^$$' -bench 'Kernel|Freeze' -benchtime 3x ./internal/runtime/bench
 	$(GO) test -run '^$$' -bench DeltaSteady -benchtime 3x ./internal/runtime/bench
@@ -63,6 +65,7 @@ bench:
 	$(GO) test -run '^$$' -bench WALIngest -benchtime 200x ./internal/wal
 	$(GO) test -run '^$$' -bench RecoveryReady -benchtime 3x ./internal/server
 	$(GO) test -run '^$$' -bench ReplicaCatchup -benchtime 3x ./internal/replica
+	$(GO) test -run '^$$' -bench Ranking -benchtime 20x ./internal/centrality
 
 # Machine-readable benchmark record: one history entry per invocation, each
 # mapping op -> ns/op, B/op, allocs/op (plus ReportMetric extras such as the
@@ -79,7 +82,8 @@ bench-json:
 	  $(GO) test -run '^$$' -bench ServeQPS -benchmem -benchtime 1x ./internal/server ; \
 	  $(GO) test -run '^$$' -bench WALIngest -benchmem -benchtime 200x ./internal/wal ; \
 	  $(GO) test -run '^$$' -bench RecoveryReady -benchmem -benchtime 3x ./internal/server ; \
-	  $(GO) test -run '^$$' -bench ReplicaCatchup -benchmem -benchtime 3x ./internal/replica ; } \
+	  $(GO) test -run '^$$' -bench ReplicaCatchup -benchmem -benchtime 3x ./internal/replica ; \
+	  $(GO) test -run '^$$' -bench Ranking -benchmem -benchtime 20x ./internal/centrality ; } \
 		| $(GO) run ./cmd/benchjson -o BENCH_kernel.json
 
 # Latest-vs-previous movement of the committed trajectory, per benchmark and
@@ -91,17 +95,21 @@ bench-diff:
 # pipeline: catches benchmark or parser rot without the full cost. The async
 # benchmark is excluded here — a single op is a full 100k-node quiescence —
 # and covered by async-smoke at CLI scale instead; the 10M partitioned leg is
-# excluded for the same reason and smoke-covered by partition-smoke.
+# excluded for the same reason and smoke-covered by partition-smoke. Both
+# ranking legs run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Kernel|Freeze|Partitioned.*100k' -benchmem -benchtime 1x ./internal/runtime/bench \
+	{ $(GO) test -run '^$$' -bench 'Kernel|Freeze|Partitioned.*100k' -benchmem -benchtime 1x ./internal/runtime/bench ; \
+	  $(GO) test -run '^$$' -bench Ranking -benchmem -benchtime 1x ./internal/centrality ; } \
 		| $(GO) run ./cmd/benchjson -o /dev/null
 
 # Short native-fuzz pass over the serialization boundaries, the async
 # delivery pipeline's FIFO-per-link ordering, the edge-cut partitioner
 # (plan invariants plus exchange cost model == brute-force recount on
-# arbitrary graphs), and the server's HTTP handlers (no panic, no 5xx,
-# JSON from every endpoint for any request). 10s per target keeps the gate cheap; longer campaigns run the
-# same targets by hand.
+# arbitrary graphs), the server's HTTP handlers (no panic, no 5xx,
+# JSON from every endpoint for any request), and the ranking (a
+# permutation in the reference order on either path, NaNs included).
+# 10s per target keeps the gate cheap; longer campaigns run the same
+# targets by hand.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFreezeRoundTrip -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzEGJSONRoundTrip -fuzztime 10s ./internal/temporal/
@@ -111,6 +119,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRecover -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzLabelDelta -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzHandlers -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzRanking -fuzztime 10s ./internal/centrality/
 
 # Supervised MIS must survive 200 rounds of add/remove churn with zero
 # standing violations; the heal subcommand exits nonzero otherwise.

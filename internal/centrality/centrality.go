@@ -9,6 +9,7 @@
 package centrality
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"slices"
@@ -298,21 +299,54 @@ func normalizeL2(xs []float64) {
 	}
 }
 
-// Ranking returns node IDs sorted by descending score (stable: ties by ID).
-// IDs are unique, so (score desc, id asc) is a total order — an unstable
-// sort under that comparator yields the stable result at a fraction of the
-// cost, which matters because every epoch publish re-ranks the full graph.
+// Ranking returns node IDs sorted by descending score, ties by ascending
+// ID. A NaN score ranks after every number, NaNs by ascending ID; -0 ties
+// with 0.
+//
+// When every score is an integer in [0, len(scores)] — degrees, counts —
+// Ranking is a counting sort in O(n + max score): nodes are bucketed by
+// score, buckets laid out from the top score down, and each bucket filled
+// in ascending-ID order. Any other score (a fraction, a negative, one above
+// n, ±Inf or NaN) sends the whole input through a comparison sort under the
+// same order, in O(n log n).
 func Ranking(scores []float64) []int {
+	n := len(scores)
+	fn, top := float64(n), 0
+	for _, s := range scores {
+		if !(s >= 0 && s <= fn) || float64(int(s)) != s {
+			return sortRanking(scores)
+		}
+		top = max(top, int(s))
+	}
+	// start[k] is the first output slot of score k's bucket.
+	start := make([]int, top+1)
+	for _, s := range scores {
+		start[int(s)]++
+	}
+	pos := 0
+	for k := top; k >= 0; k-- {
+		pos, start[k] = pos+start[k], pos
+	}
+	ids := make([]int, n)
+	for v, s := range scores {
+		k := int(s)
+		ids[start[k]] = v
+		start[k]++
+	}
+	return ids
+}
+
+// sortRanking is Ranking's comparison path. IDs are unique, so (score desc,
+// id asc) is a total order, and an unstable sort under it yields the stable
+// result; cmp.Compare keeps the order total with NaNs present.
+func sortRanking(scores []float64) []int {
 	ids := make([]int, len(scores))
 	for i := range ids {
 		ids[i] = i
 	}
 	slices.SortFunc(ids, func(a, b int) int {
-		if scores[a] != scores[b] {
-			if scores[a] > scores[b] {
-				return -1
-			}
-			return 1
+		if c := cmp.Compare(scores[b], scores[a]); c != 0 {
+			return c
 		}
 		return a - b
 	})

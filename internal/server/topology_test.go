@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -65,7 +66,8 @@ func sharedServer(t *testing.T) (*Server, *wal.Log) {
 
 // TestPublishEqualsJournal pins the one-snapshot contract on a seeded churn
 // run with the backbone on: every epoch publishes exactly the label set the
-// WAL journaled for it, and its counts are counts of that set.
+// WAL journaled for it, its counts are counts of that set, and its ranking
+// orders the epoch's own CSR by degree.
 func TestPublishEqualsJournal(t *testing.T) {
 	g := chordedRing()
 	l, err := wal.Create("store", g, wal.Options{FS: wal.NewMemFS(), CompactEvery: -1})
@@ -99,6 +101,14 @@ func TestPublishEqualsJournal(t *testing.T) {
 		if ep.MISSize != mis || ep.CDSSize != cds || ep.Unreachable != unreachable {
 			t.Errorf("epoch %d: sizes mis %d cds %d unreachable %d, recounts %d %d %d",
 				ep.Seq, ep.MISSize, ep.CDSSize, ep.Unreachable, mis, cds, unreachable)
+		}
+		rank := make([]int, ep.CSR.N())
+		for v := range rank {
+			rank[v] = v
+		}
+		sort.SliceStable(rank, func(i, j int) bool { return ep.CSR.Degree(rank[i]) > ep.CSR.Degree(rank[j]) })
+		if !slices.Equal(ep.Rank, rank) {
+			t.Errorf("epoch %d: ranking %v, want IDs by descending degree %v", ep.Seq, ep.Rank, rank)
 		}
 	}
 	s, err := New(g, Config{Dest: 0, WAL: l, OnPublish: onPublish})
