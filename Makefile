@@ -106,8 +106,10 @@ bench-smoke:
 # delivery pipeline's FIFO-per-link ordering, the edge-cut partitioner
 # (plan invariants plus exchange cost model == brute-force recount on
 # arbitrary graphs), the server's HTTP handlers (no panic, no 5xx,
-# JSON from every endpoint for any request), and the ranking (a
-# permutation in the reference order on either path, NaNs included).
+# JSON from every endpoint for any request), the ranking (a
+# permutation in the reference order on either path, NaNs included), and a
+# mirror's reopen over an arbitrary mirrored log (it keeps a valid,
+# frame-aligned prefix and its view matches recovery).
 # 10s per target keeps the gate cheap; longer campaigns run the same
 # targets by hand.
 fuzz-smoke:
@@ -118,6 +120,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzRecover -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzLabelDelta -fuzztime 10s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzMirrorOpen -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzHandlers -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzRanking -fuzztime 10s ./internal/centrality/
 

@@ -43,7 +43,7 @@ func Compare(scenario string, seed uint64, sch sim.Schedule, cfg Config) (*Compa
 	if err != nil {
 		return nil, fmt.Errorf("async: sync leg: %w", err)
 	}
-	replay := ConcreteReplay(sch, syncRes.World.Trace)
+	replay := sim.ConcreteReplay(sch, syncRes.World.Trace)
 	asyncRes, err := Explore(scenario, seed, replay, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("async: async leg: %w", err)

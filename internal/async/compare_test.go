@@ -90,7 +90,7 @@ func TestConcreteReplayZeroesDraws(t *testing.T) {
 		ChurnAdd: 2, ChurnRemove: 3,
 	}
 	events := []sim.Event{{Round: 1, Op: sim.OpRemoveEdge, U: 0, V: 1}}
-	got := ConcreteReplay(sch, events)
+	got := sim.ConcreteReplay(sch, events)
 	if got.MsgLoss != 0 || got.CrashProb != 0 || got.SkewProb != 0 ||
 		got.ChurnAdd != 0 || got.ChurnRemove != 0 {
 		t.Fatalf("probabilistic draws survived: %+v", got)

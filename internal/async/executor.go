@@ -605,7 +605,7 @@ func (x *Executor[S]) refreeze() {
 
 // histAt returns the History bucket for the window containing t, creating
 // it on demand (windows with no activity leave no bucket, matching the
-// sparse read recoveryRounds performs).
+// sparse read sim.RecoveryRounds performs).
 func (x *Executor[S]) histAt(t Ticks) *runtime.RoundStats {
 	r := x.window(t)
 	if ln := len(x.hist); ln > 0 && x.hist[ln-1].Round == r {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"structura/internal/graph"
 	"structura/internal/labeling"
 	"structura/internal/reversal"
 	"structura/internal/sim"
@@ -131,31 +130,10 @@ func Explore(scenario string, seed uint64, sch sim.Schedule, cfg Config, invs ..
 		World:          w,
 		Quiesced:       st.Quiesced,
 		LastFault:      w.LastFault,
-		RecoveryRounds: recoveryRounds(w),
+		RecoveryRounds: sim.RecoveryRounds(w),
 		Violations:     violations,
 		Async:          st,
 	}, nil
-}
-
-// recoveryRounds reads rounds-to-restabilize off the synthesized History,
-// the same measure sim.Explore reports for the synchronous path.
-func recoveryRounds(w *sim.World) int {
-	if !w.Stats.Stable {
-		return -1
-	}
-	if w.LastFault == 0 {
-		return 0
-	}
-	lastActive := 0
-	for _, rs := range w.Stats.History {
-		if rs.Changed > 0 {
-			lastActive = rs.Round
-		}
-	}
-	if lastActive <= w.LastFault {
-		return 0
-	}
-	return lastActive - w.LastFault
 }
 
 // ---- scenarios ---------------------------------------------------------
@@ -247,16 +225,11 @@ func runCube(seed uint64, sch sim.Schedule, cfg Config) (*sim.World, Stats, erro
 func runReversalFull(seed uint64, sch sim.Schedule, cfg Config) (*sim.World, Stats, error) {
 	g := sim.ReversalRing(seed)
 	const dest = 0
-	dist, _, err := g.BFS(dest)
+	alphas, err := sim.ReversalAlphas(g, dest)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	n := g.N()
-	for v, d := range dist {
-		if d < 0 {
-			return nil, Stats{}, fmt.Errorf("async: support disconnected at node %d", v)
-		}
-	}
 	// Full reversal as a message-driven rule: a node whose every known
 	// neighbor height is above its own (a sink under its local view) raises
 	// itself just above the highest of them — reversal.Network's Full rule
@@ -271,7 +244,7 @@ func runReversalFull(seed uint64, sch sim.Schedule, cfg Config) (*sim.World, Sta
 		cfg.MaxRounds = sch.Horizon + 4*n*n
 	}
 	x, err := NewExecutor(g,
-		func(v int) reversal.Height { return reversal.Height{Alpha: dist[v], ID: v} },
+		func(v int) reversal.Height { return reversal.Height{Alpha: alphas[v], ID: v} },
 		func(v int, self reversal.Height, nbrs []reversal.Height) (reversal.Height, bool) {
 			if v == dest || len(nbrs) == 0 {
 				return self, false
@@ -349,36 +322,4 @@ func runReversalFull(seed uint64, sch sim.Schedule, cfg Config) (*sim.World, Sta
 			Stable:   stable,
 		},
 	}, st, nil
-}
-
-// ConcreteReplay strips a schedule to scripted events only, preserving the
-// horizon and budget windows — the async mirror of the unexported
-// sim.concrete used by Minimize, needed by Compare to replay a traced sync
-// run without its probabilistic draws.
-func ConcreteReplay(sch sim.Schedule, events []sim.Event) sim.Schedule {
-	sch.MsgLoss = 0
-	sch.CrashProb = 0
-	sch.SkewProb = 0
-	sch.ChurnAdd = 0
-	sch.ChurnRemove = 0
-	sch.Events = events
-	return sch
-}
-
-// reversalAlphasFor derives valid initial heights from BFS distances —
-// exposed for tests that cross-check the async reversal scenario against
-// reversal.Network on the same support.
-func reversalAlphasFor(g *graph.Graph, dest int) ([]int, error) {
-	dist, _, err := g.BFS(dest)
-	if err != nil {
-		return nil, err
-	}
-	alphas := make([]int, g.N())
-	for v, d := range dist {
-		if d < 0 {
-			return nil, fmt.Errorf("async: support disconnected at node %d", v)
-		}
-		alphas[v] = d
-	}
-	return alphas, nil
 }

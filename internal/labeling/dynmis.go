@@ -3,7 +3,6 @@ package labeling
 import (
 	"errors"
 	"math/rand"
-	"sort"
 
 	"structura/internal/graph"
 )
@@ -17,7 +16,7 @@ import (
 // higher-priority neighbor is in the MIS.
 type DynamicMIS struct {
 	g    *graph.Graph
-	prio []float64
+	prio Priority
 	in   []bool
 }
 
@@ -27,37 +26,16 @@ func NewDynamicMIS(g *graph.Graph, r *rand.Rand) (*DynamicMIS, error) {
 	if g.Directed() {
 		return nil, errors.New("labeling: dynamic MIS needs an undirected graph")
 	}
-	d := &DynamicMIS{
-		g:    g.Clone(),
-		prio: make([]float64, g.N()),
-		in:   make([]bool, g.N()),
-	}
+	d := &DynamicMIS{g: g.Clone(), prio: make(Priority, g.N())}
 	for i := range d.prio {
 		d.prio[i] = r.Float64()
 	}
-	d.rebuildAll()
+	in, err := GreedyMIS(d.g, d.prio)
+	if err != nil {
+		return nil, err
+	}
+	d.in = in
 	return d, nil
-}
-
-func (d *DynamicMIS) rebuildAll() {
-	order := make([]int, d.g.N())
-	for i := range order {
-		order[i] = i
-	}
-	// Greedy by descending priority.
-	sort.Slice(order, func(i, j int) bool { return d.prio[order[i]] > d.prio[order[j]] })
-	for i := range d.in {
-		d.in[i] = false
-	}
-	for _, v := range order {
-		ok := true
-		d.g.EachNeighbor(v, func(w int, _ float64) {
-			if d.in[w] {
-				ok = false
-			}
-		})
-		d.in[v] = ok
-	}
 }
 
 // InMIS reports whether v is currently in the MIS.
@@ -101,42 +79,7 @@ func (d *DynamicMIS) RemoveEdge(u, v int) (int, error) {
 // changed edge, cascading only through affected nodes, and returns the
 // number of flips.
 func (d *DynamicMIS) repair(u, v int) int {
-	flips := 0
-	work := []int{u, v}
-	inWork := map[int]bool{u: true, v: true}
-	for len(work) > 0 {
-		// Pop the highest-priority pending node: its correct state depends
-		// only on higher-priority nodes, which are already settled.
-		bi := 0
-		for i := 1; i < len(work); i++ {
-			if d.prio[work[i]] > d.prio[work[bi]] {
-				bi = i
-			}
-		}
-		x := work[bi]
-		work[bi] = work[len(work)-1]
-		work = work[:len(work)-1]
-		delete(inWork, x)
-
-		should := true
-		d.g.EachNeighbor(x, func(w int, _ float64) {
-			if d.in[w] && d.prio[w] > d.prio[x] {
-				should = false
-			}
-		})
-		if should == d.in[x] {
-			continue
-		}
-		d.in[x] = should
-		flips++
-		// Lower-priority neighbors may now need to change.
-		d.g.EachNeighbor(x, func(w int, _ float64) {
-			if d.prio[w] < d.prio[x] && !inWork[w] {
-				inWork[w] = true
-				work = append(work, w)
-			}
-		})
-	}
+	_, flips, _ := MaintainMIS(d.g, d.in, d.prio, []int{u, v}, 0)
 	return flips
 }
 

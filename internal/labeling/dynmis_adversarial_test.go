@@ -97,7 +97,9 @@ func TestDynamicMISRemovalReelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.prio[0] = 2.0 // strictly above every leaf's [0,1) draw
-	d.rebuildAll()
+	if d.in, err = GreedyMIS(d.g, d.prio); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.Verify(); err != nil {
 		t.Fatal(err)
 	}

@@ -85,10 +85,6 @@ func seqWithinPrefix(t *testing.T, p *primaryStack, prefix int64) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, baseSeq, _, ls, err := wal.DecodeSnapshotLabels(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
 	stream, err := p.log.LogChunk(gen, 0, int(durable))
 	if err != nil {
 		t.Fatal(err)
@@ -96,13 +92,17 @@ func seqWithinPrefix(t *testing.T, p *primaryStack, prefix int64) uint64 {
 	if prefix > int64(len(stream)) {
 		prefix = int64(len(stream))
 	}
-	a := wal.NewApplier(g, ls, baseSeq)
-	if prefix > int64(wal.LogHeaderLen) {
-		if err := a.Feed(stream[wal.LogHeaderLen:prefix]); err != nil {
-			t.Fatalf("acked prefix did not replay: %v", err)
-		}
+	m, err := wal.OpenMirror("floor", wal.Options{FS: wal.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return a.Seq
+	if err := m.InstallSnapshot(gen, p.log.FenceToken(), snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Append(0, stream[:prefix]); err != nil {
+		t.Fatalf("acked prefix did not replay: %v", err)
+	}
+	return m.View().Seq
 }
 
 // crashReplicaAt runs a fresh replica against p and injects a crash just
@@ -186,6 +186,72 @@ func TestCrashSweepReplica(t *testing.T) {
 			t.Fatalf("k=%d: resumed replica hash %s, primary %s", k, sum.GraphHash, wantHash)
 		}
 		r2.Stop()
+	}
+}
+
+// TestCrashSweepReopenedReplica covers a replica that has restarted once: a
+// cold sync, a clean stop, a reopen over the same directory, then more
+// streamed batches. The reopen rewrites the mirrored log, so every byte the
+// reopened replica acks must live in a file the directory durably names —
+// for each crash image, acked ≤ recovered ≤ committed, and resuming from
+// the image converges to the primary.
+func TestCrashSweepReopenedReplica(t *testing.T) {
+	p := newPrimaryStackWith(t, 31, 32, -1, sweepPrimaryOpts())
+	defer p.close()
+	p.mutate(t, `{"ops":[{"op":"add","u":1,"v":9},{"op":"add","u":2,"v":17}]}`)
+
+	fs := wal.NewMemFS()
+	r1, err := New("mir", p.rep.Addr(), fastReplicaOpts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go r1.Run()
+	waitCaughtUp(t, r1, p.log.Seq())
+	r1.Stop()
+
+	r2, err := New("mir", p.rep.Addr(), fastReplicaOpts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go r2.Run()
+	for _, ops := range []string{
+		`{"ops":[{"op":"remove","u":1,"v":9},{"op":"add","u":3,"v":21}]}`,
+		`{"ops":[{"op":"add","u":5,"v":29}]}`,
+		`{"ops":[{"op":"add","u":6,"v":25},{"op":"remove","u":2,"v":17}]}`,
+		`{"ops":[{"op":"add","u":7,"v":19}]}`,
+	} {
+		p.mutate(t, ops)
+	}
+	_, committed, _ := p.log.ReplState()
+	deadline := time.Now().Add(10 * time.Second)
+	for r2.ackedOff.Load() != committed {
+		if time.Now().After(deadline) {
+			t.Fatalf("reopened replica acked %d of %d byte(s)", r2.ackedOff.Load(), committed)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	acked := r2.ackedOff.Load()
+	r2.Stop()
+	wantHash := fmt.Sprintf("%016x", wal.GraphHash(p.log.Graph()))
+
+	for seed := uint64(0); seed < 16; seed++ {
+		r3, err := New("mir", p.rep.Addr(), fastReplicaOpts(fs.CrashImage(seed)))
+		if err != nil {
+			t.Fatalf("seed %d: reopen after crash: %v", seed, err)
+		}
+		_, recovered := r3.Applied()
+		if recovered < acked || recovered > committed {
+			t.Fatalf("seed %d: recovered %d byte(s), want acked %d ≤ recovered ≤ committed %d",
+				seed, recovered, acked, committed)
+		}
+		go r3.Run()
+		waitCaughtUp(t, r3, p.log.Seq())
+		var sum labelsSummary
+		getJSON(t, r3.Handler(), "/labels?hash=1", &sum)
+		if sum.GraphHash != wantHash {
+			t.Fatalf("seed %d: resumed replica hash %s, primary %s", seed, sum.GraphHash, wantHash)
+		}
+		r3.Stop()
 	}
 }
 

@@ -50,9 +50,9 @@ func (r *Replica) SnapshotStats() Stats {
 	gen, fence, off := r.mirror.State()
 	var appliedSeq uint64
 	dirty := 0
-	if r.applier != nil {
-		appliedSeq = r.applier.Seq
-		dirty = len(r.applier.Dirty())
+	if v := r.mirror.View(); v != nil {
+		appliedSeq = v.Seq
+		dirty = len(v.Dirty())
 	}
 	r.mu.RUnlock()
 
@@ -153,7 +153,7 @@ type routeResponse struct {
 func (r *Replica) handleRoute(w http.ResponseWriter, req *http.Request) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	a := r.applier
+	a := r.mirror.View()
 	if a == nil || !a.UsableLabels() {
 		writeError(w, http.StatusServiceUnavailable, "no replicated label view yet")
 		return
@@ -196,7 +196,7 @@ type labelsSummary struct {
 func (r *Replica) handleLabels(w http.ResponseWriter, req *http.Request) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	a := r.applier
+	a := r.mirror.View()
 	if a == nil {
 		writeError(w, http.StatusServiceUnavailable, "no replicated view yet")
 		return

@@ -2,15 +2,16 @@
 // serving layer. The primary streams its durable log — snapshot on connect
 // or generation divergence, then raw log bytes by offset — over a
 // length-prefixed TCP protocol; the replica mirrors the bytes into a
-// crash-recoverable store directory (wal.Mirror), applies them live
-// (wal.Applier) to serve degraded stale-ok reads, and can be promoted into
-// a full primary with a bumped fencing token when the old one dies.
+// crash-recoverable store directory (wal.Mirror, which also applies them to
+// the view the replica serves degraded stale-ok reads from), and can be
+// promoted into a full primary with a bumped fencing token when the old one
+// dies.
 //
 // The protocol is pull-anchored and idempotent: the replica opens with what
 // it has (generation, durable offset, fence), the primary answers with
-// state and then pushes only durable bytes, and every ack names the byte
-// offset the replica has fsynced — so across any crash or reconnect,
-// acked ≤ recovered ≤ committed holds on both ends.
+// state and then pushes only durable bytes, and every ack names a
+// frame-aligned byte offset the replica has fsynced — so across any crash
+// or reconnect, acked ≤ recovered ≤ committed holds on both ends.
 package replica
 
 import (

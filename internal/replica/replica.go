@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"structura/internal/graph"
 	"structura/internal/server"
 	"structura/internal/wal"
 )
@@ -72,10 +71,8 @@ type Replica struct {
 	addr string
 	opts Options
 
-	mu      sync.RWMutex // guards mirror, applier, and all view state
-	mirror  *wal.Mirror
-	applier *wal.Applier
-	hdrBuf  []byte // accumulating log header of the live generation
+	mu     sync.RWMutex // guards mirror and its applied view
+	mirror *wal.Mirror
 
 	primarySeq     atomic.Uint64
 	primaryDurable atomic.Int64
@@ -111,7 +108,7 @@ type Replica struct {
 }
 
 // New opens (or resumes) the mirror at dir and prepares to follow the
-// primary at addr. A resumed mirror rebuilds its in-memory view from the
+// primary at addr. A resumed mirror rebuilds its applied view from the
 // mirrored snapshot and verified log prefix before any reconnect, so
 // degraded reads are available immediately.
 func New(dir, addr string, opts Options) (*Replica, error) {
@@ -125,40 +122,10 @@ func New(dir, addr string, opts Options) (*Replica, error) {
 		closeCh: make(chan struct{}),
 		runDone: make(chan struct{}), seed: opts.Seed,
 	}
-	if err := r.bootstrap(); err != nil {
-		m.Close()
-		return nil, err
+	if v := m.View(); v != nil && v.Batches > 0 {
+		r.lastCommitNs.Store(time.Now().UnixNano())
 	}
 	return r, nil
-}
-
-// bootstrap rebuilds the applier from the mirrored store (no-op for an
-// empty mirror).
-func (r *Replica) bootstrap() error {
-	snap, err := r.mirror.SnapshotData()
-	if err != nil || snap == nil {
-		return err
-	}
-	g, seq, _, ls, err := wal.DecodeSnapshotLabels(snap)
-	if err != nil {
-		return fmt.Errorf("replica: mirrored snapshot: %w", err)
-	}
-	a := r.newApplier(g, ls, seq)
-	logData, err := r.mirror.LogData()
-	if err != nil {
-		return err
-	}
-	r.hdrBuf = r.hdrBuf[:0]
-	if len(logData) >= wal.LogHeaderLen {
-		r.hdrBuf = append(r.hdrBuf, logData[:wal.LogHeaderLen]...)
-		if err := a.Feed(logData[wal.LogHeaderLen:]); err != nil {
-			return fmt.Errorf("replica: mirrored log replay: %w", err)
-		}
-	} else {
-		r.hdrBuf = append(r.hdrBuf, logData...)
-	}
-	r.applier = a
-	return nil
 }
 
 // Run follows the primary until Stop or promotion: dial, handshake, stream,
@@ -276,42 +243,12 @@ func (r *Replica) installSnapshot(m msg) error {
 	if err := r.mirror.InstallSnapshot(m.Gen, m.Fence, m.Data); err != nil {
 		return err
 	}
-	r.hdrBuf = r.hdrBuf[:0]
-	r.applier = nil
 	r.resyncs.Add(1)
-	if err := r.bootstrapLocked(); err != nil {
-		return err
-	}
 	return nil
 }
 
-// bootstrapLocked rebuilds the applier from the freshly installed snapshot.
-func (r *Replica) bootstrapLocked() error {
-	snap, err := r.mirror.SnapshotData()
-	if err != nil || snap == nil {
-		return err
-	}
-	g, seq, _, ls, err := wal.DecodeSnapshotLabels(snap)
-	if err != nil {
-		return fmt.Errorf("replica: snapshot payload: %w", err)
-	}
-	r.applier = r.newApplier(g, ls, seq)
-	return nil
-}
-
-// newApplier starts the live applier over a snapshot base, stamping the
-// staleness clock on every committed batch.
-func (r *Replica) newApplier(g *graph.Graph, ls *wal.LabelSet, seq uint64) *wal.Applier {
-	a := wal.NewApplier(g, ls, seq)
-	a.OnCommit = func(wal.Record, []wal.Record) error {
-		r.lastCommitNs.Store(time.Now().UnixNano())
-		return nil
-	}
-	return a
-}
-
-// applyChunk mirrors one chunk durably, feeds the live applier, and acks
-// the new durable offset.
+// applyChunk mirrors one chunk durably — the mirror feeds it to the applied
+// view — and acks the new verified offset.
 func (r *Replica) applyChunk(conn net.Conn, m msg) error {
 	r.mu.Lock()
 	gen, _, _ := r.mirror.State()
@@ -319,7 +256,7 @@ func (r *Replica) applyChunk(conn net.Conn, m msg) error {
 		r.mu.Unlock()
 		return nil // chunk from a superseded generation: drop
 	}
-	before := r.mirror.Durable()
+	before, seq := r.mirror.Durable(), r.mirror.View().Seq
 	if err := r.mirror.Append(m.Off, m.Data); err != nil {
 		r.mu.Unlock()
 		if errors.Is(err, wal.ErrStaleChunk) {
@@ -329,53 +266,26 @@ func (r *Replica) applyChunk(conn net.Conn, m msg) error {
 			g2, f2, o2 := r.mirror.State()
 			return writeMsg(conn, msg{Kind: mHello, Gen: g2, Off: o2, Fence: f2})
 		}
+		// The mirrored bytes are unusable (a failed write, a foreign
+		// header, frames that do not apply): drop the stream and demand a
+		// snapshot on reconnect.
+		r.forceResync.Store(true)
 		return err
 	}
-	after := r.mirror.Durable()
-	grew := after - before
-	if grew > 0 {
-		fresh := m.Data[int64(len(m.Data))-grew:]
-		// Split the fresh bytes around the generation header: header bytes
-		// accumulate for validation, the rest feeds the live applier.
-		if before < int64(wal.LogHeaderLen) {
-			take := int64(wal.LogHeaderLen) - before
-			if take > int64(len(fresh)) {
-				take = int64(len(fresh))
-			}
-			r.hdrBuf = append(r.hdrBuf, fresh[:take]...)
-			fresh = fresh[take:]
-			if len(r.hdrBuf) == wal.LogHeaderLen {
-				if _, _, _, err := wal.CheckLogHeader(r.hdrBuf); err != nil {
-					r.mu.Unlock()
-					r.forceResync.Store(true)
-					return fmt.Errorf("replica: mirrored header: %w", err)
-				}
-			}
-		}
-		if len(fresh) > 0 && r.applier != nil {
-			if err := r.applier.Feed(fresh); err != nil {
-				// The mirrored bytes are corrupt beyond what framing allows:
-				// drop the stream and demand a snapshot on reconnect.
-				r.mu.Unlock()
-				r.forceResync.Store(true)
-				return err
-			}
-		}
+	if grew := r.mirror.Durable() - before; grew > 0 {
 		r.chunksIn.Add(1)
 		r.bytesIn.Add(uint64(grew))
 	}
+	if r.mirror.View().Seq != seq {
+		r.lastCommitNs.Store(time.Now().UnixNano())
+	}
 	// Ack the verified prefix, not the raw mirrored length: a reopened
-	// mirror truncates to whole checksummed frames, so a trailing partial
+	// mirror keeps whole checksummed frames only, so a trailing partial
 	// frame — synced or not — must never be claimed. This keeps the sweep
 	// invariant acked ≤ recovered exact even for a crash mid-frame.
-	verified := r.mirror.Durable()
-	if verified < int64(wal.LogHeaderLen) {
-		verified = 0
-	} else if r.applier != nil {
-		verified -= int64(r.applier.Buffered())
-	}
+	acked := r.mirror.Acked()
 	r.mu.Unlock()
-	return r.sendAck(conn, m.Gen, verified)
+	return r.sendAck(conn, m.Gen, acked)
 }
 
 func (r *Replica) sendAck(conn net.Conn, gen uint64, off int64) error {
@@ -464,17 +374,8 @@ func (r *Replica) PromotedServer() *server.Server { return r.promotedSrv.Load() 
 func (r *Replica) Applied() (seq uint64, durable int64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if r.applier != nil {
-		seq = r.applier.Seq
+	if v := r.mirror.View(); v != nil {
+		seq = v.Seq
 	}
 	return seq, r.mirror.Durable()
-}
-
-// viewGraph returns the live applied graph (nil before the first
-// snapshot). Callers must hold r.mu.
-func (r *Replica) viewGraph() *graph.Graph {
-	if r.applier == nil {
-		return nil
-	}
-	return r.applier.G
 }

@@ -69,14 +69,16 @@ func ExploreWith(scenario string, seed uint64, sch Schedule, workers int, invs .
 		World:          w,
 		Quiesced:       w.Stats.Stable,
 		LastFault:      w.LastFault,
-		RecoveryRounds: recoveryRounds(w),
+		RecoveryRounds: RecoveryRounds(w),
 		Violations:     violations,
 	}, nil
 }
 
-// recoveryRounds measures rounds-to-restabilize from Stats.History: the gap
-// between the last fault and the last round that still changed any state.
-func recoveryRounds(w *World) int {
+// RecoveryRounds measures rounds-to-restabilize from Stats.History: the gap
+// between the last fault and the last round that still changed any state,
+// -1 when the run never stabilized. The async executor reports the same
+// measure off its synthesized History.
+func RecoveryRounds(w *World) int {
 	if !w.Stats.Stable {
 		return -1
 	}
@@ -95,9 +97,11 @@ func recoveryRounds(w *World) int {
 	return lastActive - w.LastFault
 }
 
-// concrete strips a schedule down to scripted events only, keeping the
-// horizon/budget windows so replay runs exactly as long as the original.
-func concrete(sch Schedule, events []Event) Schedule {
+// ConcreteReplay strips a schedule down to scripted events only, keeping
+// the horizon/budget windows so replay runs exactly as long as the
+// original: Minimize's reproducers, and the schedule async.Compare replays
+// a traced synchronous run under.
+func ConcreteReplay(sch Schedule, events []Event) Schedule {
 	sch.MsgLoss = 0
 	sch.CrashProb = 0
 	sch.SkewProb = 0
@@ -122,7 +126,7 @@ func Minimize(scenario string, seed uint64, sch Schedule, invs ...Invariant) (Sc
 		return Schedule{}, base, errors.New("sim: run does not violate any invariant; nothing to minimize")
 	}
 	fails := func(events []Event) (*Result, bool) {
-		r, rerr := Explore(scenario, seed, concrete(sch, events), invs...)
+		r, rerr := Explore(scenario, seed, ConcreteReplay(sch, events), invs...)
 		if rerr != nil {
 			return nil, false
 		}
@@ -154,7 +158,7 @@ func Minimize(scenario string, seed uint64, sch Schedule, invs ...Invariant) (Sc
 			}
 		}
 	}
-	min := concrete(sch, events)
+	min := ConcreteReplay(sch, events)
 	// Trim the adversary window to the surviving events so the reproducer is
 	// tight — but only if the tighter window still reproduces the failure
 	// (a smaller horizon also shrinks the default round budget).

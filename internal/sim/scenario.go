@@ -163,9 +163,10 @@ func runCDSScenario(seed uint64, sch Schedule, workers int) (*World, error) {
 	}, nil
 }
 
-// reversalAlphas derives valid initial heights (destination strictly
-// minimal) from BFS distances on the support.
-func reversalAlphas(g *graph.Graph, dest int) ([]int, error) {
+// ReversalAlphas derives valid initial heights (destination strictly
+// minimal) from BFS distances on the support; the async reversal scenario
+// starts from the same heights.
+func ReversalAlphas(g *graph.Graph, dest int) ([]int, error) {
 	dist, _, err := g.BFS(dest)
 	if err != nil {
 		return nil, err
@@ -253,7 +254,7 @@ func runReversalLoop(name string, eng reversalEngine, live *graph.Graph, seed ui
 
 func runReversalScenario(name string, mode reversal.Mode, seed uint64, sch Schedule) (*World, error) {
 	g := ReversalRing(seed)
-	alphas, err := reversalAlphas(g, 0)
+	alphas, err := ReversalAlphas(g, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +267,7 @@ func runReversalScenario(name string, mode reversal.Mode, seed uint64, sch Sched
 
 func runBinaryScenario(seed uint64, sch Schedule, workers int) (*World, error) {
 	g := ReversalRing(seed)
-	alphas, err := reversalAlphas(g, 0)
+	alphas, err := ReversalAlphas(g, 0)
 	if err != nil {
 		return nil, err
 	}

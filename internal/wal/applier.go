@@ -3,7 +3,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"structura/internal/graph"
 )
@@ -12,8 +11,8 @@ import (
 // generation's frame stream (everything after the header) and applies
 // committed batches and label deltas to a base state. Recovery feeds it a
 // whole log file and truncates at the last sealed batch when the stream
-// breaks off; a replica feeds it arbitrary prefixes of the primary's
-// stream as they arrive. A partial trailing frame is buffered until the
+// breaks off; a replica's Mirror feeds it arbitrary prefixes of the
+// primary's stream as their bytes become durable. A partial trailing frame is buffered until the
 // rest arrives — for a replica, whose stream is a byte-for-byte prefix of
 // the primary's durable log, a mid-frame cut is always "need more bytes".
 // A framing, checksum or sealing violation fails Feed: the rest of the
@@ -31,8 +30,7 @@ type Applier struct {
 	// OnCommit, when set, observes every committed batch as it applies:
 	// its commit marker and those of its records that changed the graph
 	// (the slice is reused after the call returns). A non-nil error stops
-	// Feed, which returns it unwrapped. The replica's staleness clock and
-	// Replay's callback both run here.
+	// Feed, which returns it unwrapped. Replay's callback runs here.
 	OnCommit func(commit Record, applied []Record) error
 
 	off     int64 // log file offset of buf[0]
@@ -199,30 +197,4 @@ func (a *Applier) Dirty() []int {
 // applied graph (present and length-matched).
 func (a *Applier) UsableLabels() bool {
 	return a.Labels != nil && a.Labels.N() == a.G.N()
-}
-
-// VerifyStream checks that data is a well-formed log-generation prefix:
-// a valid header for generation gen, followed by whole frames (a trailing
-// partial frame is fine). Used by tests and the replica's restart path.
-func VerifyStream(data []byte, gen uint64) error {
-	hgen, _, _, err := decodeLogHeader(data)
-	if err != nil {
-		return err
-	}
-	if gen != 0 && hgen != gen {
-		return fmt.Errorf("%w: stream header gen %d, want %d", ErrCorrupt, hgen, gen)
-	}
-	off := logHeaderLen
-	for off < len(data) {
-		n, complete, err := frameLen(data[off:])
-		if err != nil || !complete {
-			return nil // trailing partial frame: a valid stream prefix
-		}
-		payload := data[off+frameHeader : off+n]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[off+4:]) {
-			return fmt.Errorf("%w: frame checksum mismatch at offset %d", ErrCorrupt, off)
-		}
-		off += n
-	}
-	return nil
 }

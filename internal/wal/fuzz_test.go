@@ -188,3 +188,83 @@ func FuzzRecover(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMirrorOpen puts arbitrary bytes in as a mirror's log behind a valid
+// snapshot and superblock and requires OpenMirror's contract: it never
+// panics; it fails only when checksummed frames do not apply; otherwise the
+// log it keeps is a prefix p of the input with streamPrefix(p) == len(p),
+// its durable offset is len(p), its ack offset lies on a frame boundary,
+// its view is the state recovery reaches on the same directory, and a
+// second open keeps the same prefix.
+func FuzzMirrorOpen(f *testing.F) {
+	src := NewMemFS()
+	l, err := Create("d", ringGraph(4), Options{FS: src, CompactEvery: -1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, batch := range seededBatches(5, 4, 3, 2) {
+		if _, err := l.Append(batch); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := l.AppendLabels(randLabels(int64(i), l.Graph().N(), false)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	stream := append([]byte(nil), l.live...)
+	l.Close()
+	f.Add([]byte{})
+	f.Add(stream[:logHeaderLen-1])
+	f.Add(stream[:logHeaderLen])
+	f.Add(stream)
+	f.Add(stream[:len(stream)-3])
+	flipped := append([]byte(nil), stream...)
+	flipped[len(flipped)/2] ^= 0x40
+	f.Add(flipped)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fsys := NewMemFS()
+		l, err := Create("d", ringGraph(4), Options{FS: fsys, CompactEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		logPath := path.Join("d", l.logName)
+		l.Close()
+		if err := writeFileDurable(fsys, logPath, data); err != nil {
+			t.Fatal(err)
+		}
+
+		m, err := OpenMirror("d", Options{FS: fsys})
+		if err != nil {
+			if !errors.Is(err, ErrTorn) {
+				t.Fatalf("open failed outside frame replay: %v", err)
+			}
+			return
+		}
+		p, err := fsys.ReadFile(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, p) || streamPrefix(p, m.header) != len(p) || m.Durable() != int64(len(p)) {
+			t.Fatalf("kept %d of %d byte(s), valid through %d, durable %d",
+				len(p), len(data), streamPrefix(p, m.header), m.Durable())
+		}
+		if a := m.Acked(); a != 0 && streamPrefix(p[:a], m.header) != int(a) {
+			t.Fatalf("ack offset %d is not a frame boundary", a)
+		}
+		rl, rec, err := Open("d", Options{FS: fsys.CrashImage(0), CompactEvery: -1})
+		if err != nil {
+			t.Fatalf("recovery of the reopened mirror: %v", err)
+		}
+		if v := m.View(); rec.Seq != v.Seq || GraphHash(rl.Graph()) != GraphHash(v.G) {
+			t.Fatalf("view at seq %d, recovery at seq %d", v.Seq, rec.Seq)
+		}
+		rl.Close()
+		m.Close()
+		m2, err := OpenMirror("d", Options{FS: fsys})
+		if err != nil {
+			t.Fatalf("second open: %v", err)
+		}
+		if m2.Durable() != m.Durable() {
+			t.Fatalf("second open kept %d byte(s), first %d", m2.Durable(), m.Durable())
+		}
+	})
+}

@@ -342,7 +342,7 @@ func TestApplierStreamChunks(t *testing.T) {
 		}
 	}
 	gen, durable, seq := l.ReplState()
-	if gen == 0 || durable <= int64(LogHeaderLen) || seq != 8 {
+	if gen == 0 || durable <= int64(logHeaderLen) || seq != 8 {
 		t.Fatalf("repl state gen=%d durable=%d seq=%d", gen, durable, seq)
 	}
 
@@ -351,7 +351,7 @@ func TestApplierStreamChunks(t *testing.T) {
 	if err != nil || sgen != gen {
 		t.Fatalf("snapshot bytes: gen=%d err=%v", sgen, err)
 	}
-	g0, snapSeq, _, ls0, err := DecodeSnapshotLabels(snapData)
+	g0, snapSeq, snapCum, ls0, err := DecodeSnapshotLabels(snapData)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,10 +369,10 @@ func TestApplierStreamChunks(t *testing.T) {
 		stream = append(stream, chunk...)
 		off += int64(len(chunk))
 	}
-	if err := VerifyStream(stream, gen); err != nil {
-		t.Fatal(err)
+	if n := streamPrefix(stream, encodeLogHeader(gen, snapSeq, snapCum)); n != len(stream) {
+		t.Fatalf("stream valid through %d of %d byte(s)", n, len(stream))
 	}
-	body := stream[LogHeaderLen:]
+	body := stream[logHeaderLen:]
 	sm := splitmix{state: 99}
 	for off := 0; off < len(body); {
 		n := int(sm.next()%16) + 1
@@ -417,7 +417,7 @@ func TestLogChunkGenGone(t *testing.T) {
 	if gen1 <= gen0 {
 		t.Fatalf("compaction did not advance the generation: %d -> %d", gen0, gen1)
 	}
-	if _, err := l.LogChunk(gen0, int64(LogHeaderLen), 100); err != ErrGenGone {
+	if _, err := l.LogChunk(gen0, int64(logHeaderLen), 100); err != ErrGenGone {
 		t.Fatalf("LogChunk(stale gen) = %v, want ErrGenGone", err)
 	}
 	l.Close()

@@ -1,34 +1,31 @@
 package wal
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"os"
 	"path"
-	"strings"
 )
 
-// Mirror is the cold half of a replica: a byte-accurate copy of a primary's
-// store directory, fed from the replication stream. The primary ships its
-// snapshot on connect (or whenever generations diverge) and then raw durable
-// log bytes by offset; the Mirror writes them down with the same durability
-// discipline the primary uses, so at every instant the directory is a store
-// wal.Open — or wal.Promote, at failover — can recover. The Mirror never
-// interprets frames beyond integrity checks; the live (in-memory) half of
-// the replica is the Applier.
+// Mirror is a replica's copy of a primary's store: a byte-accurate copy of
+// its directory, fed from the replication stream, and the applied view of
+// that stream. The primary ships its snapshot on connect (or whenever
+// generations diverge) and then raw durable log bytes by offset; the Mirror
+// writes them down through the store's own generation install, so at every
+// instant the directory is a store wal.Open — or wal.Promote, at failover —
+// can recover. As bytes become durable the Mirror checks them against the
+// generation's header and feeds their frames to its Applier, the view a
+// replica serves reads from.
 type Mirror struct {
 	fsys FS
 	dir  string
 
-	gen     uint64
-	fence   uint64
-	snapSeq uint64
-
-	snapName string
-	logName  string
-	f        File
-	off      int64 // durable mirrored byte length of the live log generation
+	sb     superblock // the installed generation; zero before the first
+	header []byte     // the header the installed generation's log opens with
+	view   *Applier   // snapshot plus applied frames; nil before the first generation
+	f      File
+	off    int64 // durable mirrored byte length of the live log generation
 }
 
 // ErrStaleChunk reports an Append at an offset the mirror has not reached:
@@ -36,11 +33,12 @@ type Mirror struct {
 var ErrStaleChunk = errors.New("wal: chunk offset beyond mirrored prefix")
 
 // OpenMirror opens (or initializes) a mirror directory. An existing mirror
-// resumes at its verified durable prefix: the mirrored log is scanned for
-// whole frames and any torn tail from a mid-write crash is discarded, so
-// the offset reported to the primary never claims bytes that did not
-// survive. A directory with no superblock starts empty at generation 0 —
-// the first InstallSnapshot seeds it.
+// resumes at its verified prefix: the longest run of whole, checksummed
+// frames behind the generation's header. That prefix is replayed into the
+// view and installed as the live log, so a torn tail from a mid-write crash
+// is discarded and the offset reported to the primary never claims bytes
+// that did not survive. A directory with no readable superblock starts
+// empty at generation 0 — the first InstallSnapshot seeds it.
 func OpenMirror(dir string, opts Options) (*Mirror, error) {
 	opts.setDefaults()
 	m := &Mirror{fsys: opts.FS, dir: dir}
@@ -55,152 +53,107 @@ func OpenMirror(dir string, opts Options) (*Mirror, error) {
 	if err != nil {
 		return m, nil // unreadable superblock: treat as fresh, resync seeds it
 	}
-	m.gen, m.fence, m.snapSeq = sb.gen, sb.fence, sb.snapSeq
-	m.snapName, m.logName = sb.snapName, sb.logName
-
-	data, err := m.fsys.ReadFile(path.Join(dir, sb.logName))
+	snap, err := m.fsys.ReadFile(path.Join(dir, sb.snapName))
 	if err != nil {
-		data = nil
+		return nil, fmt.Errorf("wal: mirrored snapshot: %w", err)
 	}
-	keep := streamPrefix(data, m.gen)
-	f, err := m.fsys.Create(path.Join(dir, sb.logName))
-	if err != nil {
-		return nil, fmt.Errorf("wal: mirror log: %w", err)
+	data, err := m.fsys.ReadFile(path.Join(dir, sb.logName)) // a missing log resumes empty
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("wal: mirrored log: %w", err)
 	}
-	if keep > 0 {
-		if _, err := f.Write(data[:keep]); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: mirror log rewrite: %w", err)
-		}
+	if err := m.install(sb.gen, sb.fence, snap, data); err != nil {
+		return nil, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: mirror log sync: %w", err)
-	}
-	m.f, m.off = f, keep
 	return m, nil
 }
 
+// InstallSnapshot replaces the mirror's contents with a full-resync
+// payload: the primary's snapshot file for generation gen under fencing
+// token fence. A corrupt payload is rejected before anything touches disk.
+// The view restarts from the snapshot and log bytes restart at offset 0;
+// the generation's header arrives as the first streamed bytes.
+func (m *Mirror) InstallSnapshot(gen, fence uint64, snap []byte) error {
+	return m.install(gen, fence, snap, nil)
+}
+
+// install decodes snap — once — into a fresh view, replays the verified
+// prefix of log into it, and installs the pair as the live generation.
+func (m *Mirror) install(gen, fence uint64, snap, log []byte) error {
+	g, seq, cum, ls, err := DecodeSnapshotLabels(snap)
+	if err != nil {
+		return fmt.Errorf("wal: mirror snapshot: %w", err)
+	}
+	view := NewApplier(g, ls, seq)
+	header := encodeLogHeader(gen, seq, cum)
+	keep := streamPrefix(log, header)
+	if keep > logHeaderLen {
+		if err := view.Feed(log[logHeaderLen:keep]); err != nil {
+			return fmt.Errorf("wal: mirrored log replay: %w", err)
+		}
+	}
+	sb := newSuper(seq, gen, fence)
+	f, err := installGeneration(m.fsys, m.dir, sb, snap, log[:keep])
+	if err != nil {
+		// The directory may already name part of the new generation: stop
+		// appending to the old one until a resync installs a whole one.
+		m.Close()
+		return err
+	}
+	if m.f != nil {
+		m.f.Close()
+	}
+	m.sb, m.header, m.view, m.f, m.off = sb, header, view, f, int64(keep)
+	return nil
+}
+
 // streamPrefix returns the length of the longest valid prefix of a log
-// generation's byte stream: a header for gen followed by whole checksummed
-// frames. A torn or corrupt tail is excluded; a bad header yields 0.
-func streamPrefix(data []byte, gen uint64) int64 {
-	hgen, _, _, err := decodeLogHeader(data)
-	if err != nil || (gen != 0 && hgen != gen) {
+// generation's byte stream: header, then whole frames that pass their
+// checksum and decode. A torn or corrupt tail is excluded; a stream that
+// does not open with header yields 0.
+func streamPrefix(data, header []byte) int {
+	if !bytes.HasPrefix(data, header) {
 		return 0
 	}
-	off := logHeaderLen
+	off := len(header)
 	for off < len(data) {
-		n, complete, err := frameLen(data[off:])
-		if err != nil || !complete {
-			break
-		}
-		payload := data[off+frameHeader : off+n]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[off+4:]) {
+		_, n, err := readFrame(data[off:])
+		if err != nil {
 			break
 		}
 		off += n
 	}
-	return int64(off)
+	return off
 }
 
 // State returns the mirror's replication cursor: the generation it holds,
 // the fence it recorded, and the durable byte offset it can resume from.
-func (m *Mirror) State() (gen, fence uint64, off int64) { return m.gen, m.fence, m.off }
+func (m *Mirror) State() (gen, fence uint64, off int64) { return m.sb.gen, m.sb.fence, m.off }
 
 // Durable returns the fsynced byte length of the mirrored live generation.
 func (m *Mirror) Durable() int64 { return m.off }
 
-// SnapSeq returns the batch seq of the mirrored snapshot.
-func (m *Mirror) SnapSeq() uint64 { return m.snapSeq }
-
-// InstallSnapshot replaces the mirror's contents with a full-resync
-// payload: the primary's snapshot file for generation gen under fencing
-// token fence. The snapshot is decoded first — a corrupt payload is
-// rejected before anything touches disk — then written with the store's
-// swap discipline (snapshot durable, empty log durable, superblock rename
-// last), so a crash at any point leaves either the old mirror or the new
-// one, never a mix. Log bytes restart at offset 0; the generation's header
-// arrives as the first streamed bytes.
-func (m *Mirror) InstallSnapshot(gen, fence uint64, snap []byte) error {
-	_, seq, _, _, err := DecodeSnapshotLabels(snap)
-	if err != nil {
-		return fmt.Errorf("wal: mirror snapshot: %w", err)
+// Acked returns the offset a replica may acknowledge: the durable prefix
+// through the last whole frame, which is exactly what a reopen keeps.
+func (m *Mirror) Acked() int64 {
+	if m.off < logHeaderLen {
+		return 0
 	}
-	snapName := fmt.Sprintf("snap-%016d.snap", seq)
-	logName := fmt.Sprintf("wal-%016d.log", seq)
-
-	tmp := path.Join(m.dir, snapName+".tmp")
-	if err := writeFileSync(m.fsys, tmp, snap); err != nil {
-		return err
-	}
-	if err := m.fsys.Rename(tmp, path.Join(m.dir, snapName)); err != nil {
-		return err
-	}
-	if err := m.fsys.SyncDir(m.dir); err != nil {
-		return err
-	}
-
-	f, err := m.fsys.Create(path.Join(m.dir, logName))
-	if err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := m.fsys.SyncDir(m.dir); err != nil {
-		f.Close()
-		return err
-	}
-
-	sb := encodeSuper(superblock{
-		snapSeq: seq, gen: gen, fence: fence,
-		snapName: snapName, logName: logName,
-	})
-	stmp := path.Join(m.dir, superName+".tmp")
-	if err := writeFileSync(m.fsys, stmp, sb); err != nil {
-		f.Close()
-		return err
-	}
-	if err := m.fsys.Rename(stmp, path.Join(m.dir, superName)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := m.fsys.SyncDir(m.dir); err != nil {
-		f.Close()
-		return err
-	}
-
-	// Garbage-collect superseded generations and interrupted temp files.
-	if names, lerr := m.fsys.List(m.dir); lerr == nil {
-		for _, name := range names {
-			if name == superName || name == snapName || name == logName {
-				continue
-			}
-			if strings.HasPrefix(name, "snap-") || strings.HasPrefix(name, "wal-") ||
-				strings.HasSuffix(name, ".tmp") {
-				_ = m.fsys.Remove(path.Join(m.dir, name))
-			}
-		}
-		_ = m.fsys.SyncDir(m.dir)
-	}
-
-	if m.f != nil {
-		m.f.Close()
-	}
-	m.f = f
-	m.gen, m.fence, m.snapSeq = gen, fence, seq
-	m.snapName, m.logName = snapName, logName
-	m.off = 0
-	return nil
+	return m.off - int64(m.view.Buffered())
 }
+
+// View returns the applied view: the installed snapshot plus every
+// committed batch and label delta of the durable stream (nil before the
+// first generation). It changes under Append and InstallSnapshot; callers
+// serialize access with them.
+func (m *Mirror) View() *Applier { return m.view }
 
 // Append mirrors durable log bytes at offset off and fsyncs them before
 // returning, so an ack sent after Append can never claim bytes a crash
 // would lose. Chunks the mirror already holds are ignored (the stream may
 // resend across a reconnect); a chunk beyond the mirrored prefix is
-// ErrStaleChunk and the replica must re-request from Durable().
+// ErrStaleChunk and the replica must re-request from Durable(). The new
+// bytes are then checked against the generation's header and fed to the
+// view; an error there means the stream is unusable and needs a resync.
 func (m *Mirror) Append(off int64, data []byte) error {
 	if m.f == nil {
 		return errors.New("wal: mirror has no generation installed")
@@ -212,42 +165,22 @@ func (m *Mirror) Append(off int64, data []byte) error {
 		return fmt.Errorf("%w: chunk at %d, mirrored through %d", ErrStaleChunk, off, m.off)
 	}
 	data = data[m.off-off:] // overlap: keep only the new suffix
-	if len(data) == 0 {
-		return nil
-	}
 	if _, err := m.f.Write(data); err != nil {
 		return fmt.Errorf("wal: mirror append: %w", err)
 	}
 	if err := m.f.Sync(); err != nil {
 		return fmt.Errorf("wal: mirror sync: %w", err)
 	}
+	at := m.off
 	m.off += int64(len(data))
-	return nil
-}
-
-// SnapshotData returns the mirrored snapshot file's bytes, or nil for a
-// mirror with no generation installed yet.
-func (m *Mirror) SnapshotData() ([]byte, error) {
-	if m.snapName == "" {
-		return nil, nil
+	if at < logHeaderLen {
+		n := min(int64(len(data)), logHeaderLen-at)
+		if !bytes.Equal(data[:n], m.header[at:at+n]) {
+			return fmt.Errorf("%w: mirrored log header does not open generation %d", ErrCorrupt, m.sb.gen)
+		}
+		data = data[n:]
 	}
-	return m.fsys.ReadFile(path.Join(m.dir, m.snapName))
-}
-
-// LogData returns the mirrored live generation's bytes through the durable
-// offset — the replay source for rebuilding an in-memory view on restart.
-func (m *Mirror) LogData() ([]byte, error) {
-	if m.logName == "" {
-		return nil, nil
-	}
-	data, err := m.fsys.ReadFile(path.Join(m.dir, m.logName))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(data)) > m.off {
-		data = data[:m.off]
-	}
-	return data, nil
+	return m.view.Feed(data)
 }
 
 // Close releases the mirror's file handle. The directory remains a

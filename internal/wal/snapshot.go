@@ -36,12 +36,10 @@ const (
 	// cursor the replication protocol acks.
 	logVer = 2
 
-	// LogHeaderLen frames a log generation: magic, version, generation,
+	// logHeaderLen frames a log generation: magic, version, generation,
 	// the batch seq and cumulative record count the generation starts
-	// from, and a CRC. Exported so the replica can validate a streamed
-	// log prefix before trusting resume offsets into it.
-	LogHeaderLen = 4 + 2 + 8 + 8 + 8 + 4
-	logHeaderLen = LogHeaderLen
+	// from, and a CRC.
+	logHeaderLen = 4 + 2 + 8 + 8 + 8 + 4
 )
 
 // EncodeSnapshot serializes g with its provenance: seq is the batch
@@ -260,19 +258,12 @@ func DecodeSnapshotLabels(data []byte) (g *graph.Graph, seq, cum uint64, ls *Lab
 	return g, seq, cum, ls, nil
 }
 
-// SaveGraph writes g to path through the snapshot codec, atomically: a temp
-// file is written, fsynced, and renamed over the target. The file is
-// readable by LoadGraph and usable as a server boot image.
+// SaveGraph writes g to path through the snapshot codec, atomically and
+// durably: a temp file is written, fsynced, renamed over the target, and
+// the rename made durable. The file is readable by LoadGraph and usable as
+// a server boot image.
 func SaveGraph(path string, g *graph.Graph) error {
-	return saveGraphFS(OS(), path, g)
-}
-
-func saveGraphFS(fsys FS, path string, g *graph.Graph) error {
-	tmp := path + ".tmp"
-	if err := writeFileSync(fsys, tmp, EncodeSnapshot(g, 0, 0)); err != nil {
-		return err
-	}
-	return fsys.Rename(tmp, path)
+	return writeFileDurable(OS(), path, EncodeSnapshot(g, 0, 0))
 }
 
 // LoadGraph reads a snapshot-codec graph file written by SaveGraph (or a
@@ -284,24 +275,6 @@ func LoadGraph(path string) (*graph.Graph, error) {
 	}
 	g, _, _, err := DecodeSnapshot(data)
 	return g, err
-}
-
-// writeFileSync creates name, writes data, and fsyncs it (the caller still
-// owns the namespace barrier via Rename/SyncDir).
-func writeFileSync(fsys FS, name string, data []byte) error {
-	f, err := fsys.Create(name)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // ---- superblock ----
@@ -409,13 +382,6 @@ func decodeLogHeader(data []byte) (gen, startSeq, startCum uint64, err error) {
 		return 0, 0, 0, fmt.Errorf("%w: log header checksum mismatch", ErrCorrupt)
 	}
 	return binary.LittleEndian.Uint64(h[6:]), binary.LittleEndian.Uint64(h[14:]), binary.LittleEndian.Uint64(h[22:]), nil
-}
-
-// CheckLogHeader validates a streamed log-generation header and returns its
-// provenance — the replica's guard before trusting a resume offset into a
-// generation it is mirroring byte-for-byte.
-func CheckLogHeader(data []byte) (gen, startSeq, startCum uint64, err error) {
-	return decodeLogHeader(data)
 }
 
 // ---- topology hashing ----

@@ -123,7 +123,6 @@ type Log struct {
 	f        File
 	snapName string
 	logName  string
-	snapSeq  uint64
 	gen      uint64 // live generation number (increments every newGeneration)
 	fence    uint64 // fencing token (immutable while open; Promote bumps it)
 
@@ -498,13 +497,8 @@ func applyRecord(g *graph.Graph, r Record) bool {
 	return false
 }
 
-// newGeneration compacts the current replica into a fresh (snapshot, empty
-// log) pair and atomically repoints the superblock at it. The ordering is
-// the crash-safety argument: each artifact is durable (file fsync + dir
-// fsync) before anything references it, the superblock swap is an atomic
-// rename, and old files are removed only after the new superblock is
-// durable — so a crash at any step leaves either the old or the new
-// generation fully intact.
+// compact rolls the current replica into a fresh generation and closes
+// the previous generation's log.
 func (l *Log) compact() error {
 	old := l.f
 	if err := l.newGeneration(); err != nil {
@@ -517,92 +511,109 @@ func (l *Log) compact() error {
 	return nil
 }
 
+// newGeneration installs the current replica as a fresh (snapshot, log
+// header) generation and makes it the live one.
 func (l *Log) newGeneration() error {
-	gen := l.gen + 1
-	snapName := fmt.Sprintf("snap-%016d.snap", l.seq)
-	logName := fmt.Sprintf("wal-%016d.log", l.seq)
-	dir := l.dir
-
-	// 1. Snapshot (topology + compacted label epoch): temp, fsync, atomic
-	// rename, dir fsync.
-	tmp := path.Join(dir, snapName+".tmp")
-	if err := writeFileSync(l.fsys, tmp, EncodeSnapshotLabels(l.g, l.seq, l.cum, l.labels)); err != nil {
-		return err
-	}
-	if err := l.fsys.Rename(tmp, path.Join(dir, snapName)); err != nil {
-		return err
-	}
-	if err := l.fsys.SyncDir(dir); err != nil {
-		return err
-	}
-
-	// 2. Fresh log generation with a durable header.
-	header := encodeLogHeader(gen, l.seq, l.cum)
-	f, err := l.fsys.Create(path.Join(dir, logName))
+	sb := newSuper(l.seq, l.gen+1, l.fence)
+	header := encodeLogHeader(sb.gen, l.seq, l.cum)
+	f, err := installGeneration(l.fsys, l.dir, sb, EncodeSnapshotLabels(l.g, l.seq, l.cum, l.labels), header)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(header); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := l.fsys.SyncDir(dir); err != nil {
-		f.Close()
-		return err
-	}
-
-	// 3. Superblock swap: the generation becomes live here, atomically.
-	sb := encodeSuper(superblock{
-		snapSeq: l.seq, gen: gen, fence: l.fence,
-		snapName: snapName, logName: logName,
-	})
-	stmp := path.Join(dir, superName+".tmp")
-	if err := writeFileSync(l.fsys, stmp, sb); err != nil {
-		f.Close()
-		return err
-	}
-	if err := l.fsys.Rename(stmp, path.Join(dir, superName)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := l.fsys.SyncDir(dir); err != nil {
-		f.Close()
-		return err
-	}
-
-	// 4. Garbage-collect: anything but the superblock and the live pair is
-	// a previous generation or an interrupted temp file.
-	if names, lerr := l.fsys.List(dir); lerr == nil {
-		for _, name := range names {
-			if name == superName || name == snapName || name == logName {
-				continue
-			}
-			if strings.HasPrefix(name, "snap-") || strings.HasPrefix(name, "wal-") ||
-				strings.HasSuffix(name, ".tmp") {
-				_ = l.fsys.Remove(path.Join(dir, name))
-			}
-		}
-		_ = l.fsys.SyncDir(dir)
-	}
-
 	l.f = f
 	l.genMu.Lock()
-	l.snapName, l.logName = snapName, logName
-	l.gen = gen
+	l.snapName, l.logName = sb.snapName, sb.logName
+	l.gen = sb.gen
 	l.live = append(l.live[:0], header...)
 	l.genMu.Unlock()
-	l.mGen.Store(gen)
+	l.mGen.Store(sb.gen)
 	l.mDurable.Store(int64(len(header)))
-	l.snapSeq = l.seq
 	l.depth = 0
 	l.batchesInLog = 0
 	l.unsyncedBatch = 0
 	l.mDepth.Store(0)
 	return nil
+}
+
+// newSuper names generation gen, whose snapshot reflects batch seq.
+func newSuper(seq, gen, fence uint64) superblock {
+	return superblock{
+		snapSeq: seq, gen: gen, fence: fence,
+		snapName: fmt.Sprintf("snap-%016d.snap", seq),
+		logName:  fmt.Sprintf("wal-%016d.log", seq),
+	}
+}
+
+// installGeneration is the store's one generation swap, shared by a Log
+// (create, recovery, promotion, compaction) and a Mirror (resync and
+// reopen). It writes snap and log under the names sb gives them, points the
+// superblock at the pair, removes every other generation and interrupted
+// temp file, and returns the log file open for appends. The order is the
+// crash-safety argument: each file is durable (file fsync, then directory
+// fsync) before anything references it, every file — the live log
+// included — is replaced by renaming a temp file over it rather than
+// truncated in place, and the superblock rename is the commit point. A crash
+// at any step leaves either the old generation or the new one intact.
+func installGeneration(fsys FS, dir string, sb superblock, snap, log []byte) (File, error) {
+	if err := writeFileDurable(fsys, path.Join(dir, sb.snapName), snap); err != nil {
+		return nil, err
+	}
+	f, err := createDurable(fsys, path.Join(dir, sb.logName), log)
+	if err != nil {
+		return nil, err
+	}
+	if err := writeFileDurable(fsys, path.Join(dir, superName), encodeSuper(sb)); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if names, lerr := fsys.List(dir); lerr == nil {
+		for _, name := range names {
+			if name == superName || name == sb.snapName || name == sb.logName {
+				continue
+			}
+			if strings.HasPrefix(name, "snap-") || strings.HasPrefix(name, "wal-") ||
+				strings.HasSuffix(name, ".tmp") {
+				_ = fsys.Remove(path.Join(dir, name))
+			}
+		}
+		_ = fsys.SyncDir(dir)
+	}
+	return f, nil
+}
+
+// createDurable makes name hold exactly data, durably, and returns it open
+// for appends: data goes to a temp file that is fsynced, renamed over name,
+// and made durable in the namespace by a directory fsync.
+func createDurable(fsys FS, name string, data []byte) (File, error) {
+	tmp := name + ".tmp"
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return nil, err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, name)
+	}
+	if err == nil {
+		err = fsys.SyncDir(path.Dir(name))
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// writeFileDurable is createDurable for a file nothing appends to.
+func writeFileDurable(fsys FS, name string, data []byte) error {
+	f, err := createDurable(fsys, name, data)
+	if err != nil {
+		return err
+	}
+	return f.Close()
 }
 
 // ---- replication-facing accessors (safe from any goroutine) ----

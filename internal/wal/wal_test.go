@@ -253,6 +253,46 @@ func TestShortWriteBreaksLogAndRecoveryTruncates(t *testing.T) {
 	l2.Close()
 }
 
+// TestShortWriteDuringMirrorInstallStopsAppends: a resync whose install
+// fails part-way leaves the mirror refusing appends — it never keeps
+// writing to the previous generation's log, which the directory may no
+// longer name — until a later install succeeds.
+func TestShortWriteDuringMirrorInstallStopsAppends(t *testing.T) {
+	src := NewMemFS()
+	l, err := Create("d", ringGraph(8), Options{FS: src, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, snap, err := l.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := append([]byte(nil), l.live...)
+	l.Close()
+
+	fsys := NewFaultFS(NewMemFS(), 3, -1)
+	m, err := OpenMirror("m", Options{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.InstallSnapshot(gen, 1, snap); err != nil {
+		t.Fatal(err)
+	}
+	fsys.ShortWriteAt(fsys.Ops() + 1) // the snapshot write, after its temp file's create
+	if err := m.InstallSnapshot(gen, 1, snap); !errors.Is(err, ErrShortWrite) {
+		t.Fatalf("short write surfaced as %v", err)
+	}
+	if err := m.Append(0, stream); err == nil {
+		t.Fatal("append after a failed install succeeded")
+	}
+	if err := m.InstallSnapshot(gen, 1, snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Append(0, stream); err != nil || m.Acked() != int64(len(stream)) {
+		t.Fatalf("append after a clean install: acked %d of %d (err %v)", m.Acked(), len(stream), err)
+	}
+}
+
 func TestPostFsyncBitFlipTruncatesAtCorruptRecord(t *testing.T) {
 	fsys := NewMemFS()
 	l, err := Create("d", ringGraph(8), Options{FS: fsys, CompactEvery: -1})
