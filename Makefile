@@ -50,8 +50,11 @@ race:
 # partitioned legs of both (the same runs priced on k edge-cut shards,
 # failing unless the exchange equals the recorded trajectory); the async
 # executor priced on one full quiescence; and the structure server's query
-# throughput under churn; and the epoch ranking of 100k ER degrees on its
-# counting path and, with fractional scores, its comparison path. The
+# throughput under churn; the epoch ranking of 100k ER degrees on its
+# counting path and, with fractional scores, its comparison path; and the
+# whole-graph Freeze beside the server's page-shared FreezeFrom of one
+# 100-op batch on 100k and 1M ER graphs (the 'Freeze' pattern runs both,
+# here and in bench-json and bench-smoke). The
 # async, 10M-node partitioned and serve legs run one complete workload per
 # op, so they get -benchtime 1x; the ranking legs average over 20 and the
 # other legs over 3.
@@ -102,7 +105,9 @@ bench-smoke:
 	  $(GO) test -run '^$$' -bench Ranking -benchmem -benchtime 1x ./internal/centrality ; } \
 		| $(GO) run ./cmd/benchjson -o /dev/null
 
-# Short native-fuzz pass over the serialization boundaries, the async
+# Short native-fuzz pass over the serialization boundaries, the paged
+# epoch snapshot (every snapshot of a batched mutation program equals
+# Freeze at its own moment, before and after later batches), the async
 # delivery pipeline's FIFO-per-link ordering, the edge-cut partitioner
 # (plan invariants plus exchange cost model == brute-force recount on
 # arbitrary graphs), the server's HTTP handlers (no panic, no 5xx,
@@ -114,6 +119,7 @@ bench-smoke:
 # targets by hand.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFreezeRoundTrip -fuzztime 10s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz FuzzFreezeFrom -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzEGJSONRoundTrip -fuzztime 10s ./internal/temporal/
 	$(GO) test -run '^$$' -fuzz FuzzLinkFIFO -fuzztime 10s ./internal/async/
 	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 10s ./internal/partition/

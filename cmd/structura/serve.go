@@ -217,7 +217,7 @@ func runServe(args []string, out io.Writer) error {
 	}
 	ep := srv.Epoch()
 	fmt.Fprintf(out, "serving %d node(s), %d edge(s), dest %d, epoch %d\n",
-		ep.CSR.N(), ep.CSR.M(), ep.Labels.Dest, ep.Seq)
+		ep.Topo.N(), ep.Topo.M(), ep.Labels.Dest, ep.Seq)
 
 	shutdown := func() error {
 		if repl != nil {
@@ -234,7 +234,7 @@ func runServe(args []string, out io.Writer) error {
 			}
 		}
 		if *saveFile != "" {
-			final := csrToGraph(srv.Epoch().CSR)
+			final := frozenToGraph(srv.Epoch().Topo)
 			if err := wal.SaveGraph(*saveFile, final); err != nil {
 				return fmt.Errorf("-save %s: %w", *saveFile, err)
 			}
@@ -285,9 +285,9 @@ func runServe(args []string, out io.Writer) error {
 	return nil
 }
 
-// csrToGraph materializes a mutable graph from a frozen epoch snapshot —
+// frozenToGraph materializes a mutable graph from an epoch's topology —
 // what -save persists when the process exits.
-func csrToGraph(c *graph.CSR) *graph.Graph {
+func frozenToGraph(c wal.Topology) *graph.Graph {
 	n := c.N()
 	var g *graph.Graph
 	if c.Directed() {

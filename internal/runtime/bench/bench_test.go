@@ -257,3 +257,56 @@ func BenchmarkFreezeER100k(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFreezeFrom prices the structure server's per-epoch topology
+// build: one 100-op batch (50 removes, 50 adds) is applied to an ER graph
+// of average degree 10, and each iteration takes the page-shared snapshot
+// with the batch's 200 endpoints as touched, from the snapshot taken before
+// the batch. The
+// Freeze leg is the whole-graph snapshot of the same graph, the cost the
+// paged build replaces; at a fixed batch the FreezeFrom leg should stay
+// flat from 100k to 1M nodes.
+func BenchmarkFreezeFrom(b *testing.B) {
+	for _, size := range []struct {
+		name string
+		g    func() *graph.Graph
+	}{
+		{"ER100k", func() *graph.Graph { return erGraph().Clone() }},
+		{"ER1M", func() *graph.Graph {
+			return gen.SparseErdosRenyi(stats.NewRand(1), 1_000_000, erDegree/float64(1_000_000-1))
+		}},
+	} {
+		g := size.g()
+		prev := g.FreezeFrom(nil, nil)
+		r := stats.NewRand(3)
+		touched := make([]int, 0, 200)
+		for len(touched) < 100 {
+			if u := r.Intn(g.N()); g.Degree(u) > 0 {
+				v := g.Neighbors(u)[0]
+				g.RemoveEdge(u, v)
+				touched = append(touched, u, v)
+			}
+		}
+		for len(touched) < 200 {
+			if u, v := r.Intn(g.N()), r.Intn(g.N()); g.TryAddEdge(u, v, 1) {
+				touched = append(touched, u, v)
+			}
+		}
+		b.Run(size.name+"/FreezeFrom", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if p := g.FreezeFrom(prev, touched); p.M() != g.M() {
+					b.Fatal("bad paged freeze")
+				}
+			}
+		})
+		b.Run(size.name+"/Freeze", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if c := g.Freeze(); c.M() != g.M() {
+					b.Fatal("bad freeze")
+				}
+			}
+		})
+	}
+}

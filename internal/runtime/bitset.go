@@ -3,15 +3,14 @@ package runtime
 import "math/bits"
 
 // bitset is a dense bit vector over node IDs, the frontier representation of
-// the round loop: set/clear/test are O(1), iteration skips empty words, and
+// the round loop: set and test are O(1), iteration skips empty words, and
 // the word layout lets word-aligned shards write disjoint ranges without
 // synchronization.
 type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
-func (b bitset) set(v int)   { b[v>>6] |= 1 << (uint(v) & 63) }
-func (b bitset) clear(v int) { b[v>>6] &^= 1 << (uint(v) & 63) }
+func (b bitset) set(v int) { b[v>>6] |= 1 << (uint(v) & 63) }
 
 func (b bitset) get(v int) bool { return b[v>>6]&(1<<(uint(v)&63)) != 0 }
 
@@ -24,7 +23,7 @@ func (b bitset) reset() {
 }
 
 // setAll sets bits [0, n) and leaves the tail of the last word clear, so
-// iteration and count never see nodes at or past n.
+// iteration never sees nodes at or past n.
 func (b bitset) setAll(n int) {
 	for i := range b {
 		b[i] = ^uint64(0)
@@ -32,25 +31,6 @@ func (b bitset) setAll(n int) {
 	if r := uint(n) & 63; r != 0 && len(b) > 0 {
 		b[len(b)-1] = ^uint64(0) >> (64 - r)
 	}
-}
-
-// count returns the number of set bits.
-func (b bitset) count() int {
-	total := 0
-	for _, w := range b {
-		total += bits.OnesCount64(w)
-	}
-	return total
-}
-
-// any reports whether any bit is set.
-func (b bitset) any() bool {
-	for _, w := range b {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // appendBits appends every set bit of b to out in ascending order.

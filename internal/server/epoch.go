@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"sync"
 	"time"
 
 	"structura/internal/centrality"
@@ -10,7 +11,7 @@ import (
 )
 
 // Epoch is one immutable published snapshot of the served structures: the
-// CSR topology plus every label array a query can touch, built by the
+// paged topology plus every label array a query can touch, built by the
 // writer after a mutation batch heals and swapped in through an
 // atomic.Pointer (RCU-style). Readers load the pointer once per request and
 // answer entirely from that one epoch, so a response can never mix label
@@ -20,7 +21,9 @@ type Epoch struct {
 	Seq     uint64    // 1-based publication counter
 	Created time.Time // publication instant, for the epoch-age metric
 
-	CSR *graph.CSR
+	// Topo is the epoch's topology. It shares every adjacency page the
+	// batch that built it did not touch with the previous epoch's Topo.
+	Topo *graph.PagedCSR
 
 	// Labels is the writer's one label snapshot of this epoch — the set
 	// handed to the WAL's AppendLabels when the server journals: route
@@ -36,17 +39,36 @@ type Epoch struct {
 	CDSSize     int
 	Unreachable int
 
-	// Degree-centrality ranking: node IDs by descending CSR degree, ties by
-	// ascending ID (centrality.Ranking) — what /centrality/topk slices.
+	// Degree-centrality ranking: node IDs by descending Topo degree, ties
+	// by ascending ID (centrality.Ranking) — what /centrality/topk slices.
 	Rank []int
+
+	hashOnce sync.Once
+	hash     uint64
+}
+
+// GraphHash returns wal.CSRHash of the epoch's topology. It is computed on
+// the first call and cached: the epoch is immutable, so every later
+// /labels?hash=1 of the same epoch is free.
+func (ep *Epoch) GraphHash() uint64 {
+	ep.hashOnce.Do(func() { ep.hash = wal.CSRHash(ep.Topo) })
+	return ep.hash
 }
 
 // buildEpoch assembles the next epoch around the label snapshot ls. Only the
-// writer goroutine calls it; ls and the CSR are fresh, so publication hands
-// the readers exclusively immutable data.
-func (s *Server) buildEpoch(seq uint64, ls *wal.LabelSet) *Epoch {
-	csr := s.g.Freeze()
-	ep := &Epoch{Seq: seq, Created: time.Now(), CSR: csr, Labels: ls}
+// writer goroutine calls it. The topology rebuilds the pages of the touched
+// nodes and shares the rest with the published epoch, which is sound
+// because every topology change since that epoch lies on a touched node: a
+// batch that fails before publishing stops the writer. ls and the rebuilt
+// pages are fresh and shared pages are immutable, so publication hands the
+// readers exclusively immutable data.
+func (s *Server) buildEpoch(seq uint64, ls *wal.LabelSet, touched []int) *Epoch {
+	var prev *graph.PagedCSR
+	if last := s.epoch.Load(); last != nil {
+		prev = last.Topo
+	}
+	topo := s.g.FreezeFrom(prev, touched)
+	ep := &Epoch{Seq: seq, Created: time.Now(), Topo: topo, Labels: ls}
 	for v, d := range ls.Dist {
 		if math.IsInf(d, 1) {
 			ep.Unreachable++
@@ -58,9 +80,9 @@ func (s *Server) buildEpoch(seq uint64, ls *wal.LabelSet) *Epoch {
 			ep.CDSSize++
 		}
 	}
-	deg := make([]float64, csr.N())
+	deg := make([]float64, topo.N())
 	for v := range deg {
-		deg[v] = float64(csr.Degree(v))
+		deg[v] = float64(topo.Degree(v))
 	}
 	ep.Rank = centrality.Ranking(deg)
 	return ep

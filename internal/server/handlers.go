@@ -10,8 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"time"
-
-	"structura/internal/wal"
 )
 
 // routes wires every endpoint into the mux. Query endpoints go through the
@@ -149,7 +147,7 @@ type khopResponse struct {
 	Nodes []int  `json:"nodes"`
 }
 
-// handleKhop runs a depth-bounded BFS on the epoch's CSR using pooled
+// handleKhop runs a depth-bounded BFS on the epoch's topology using pooled
 // scratch (allocation-free on the hot path apart from the response), and
 // returns the nodes within k hops, sorted, excluding the center.
 func (s *Server) handleKhop(w http.ResponseWriter, r *http.Request) int {
@@ -176,7 +174,7 @@ func (s *Server) handleKhop(w http.ResponseWriter, r *http.Request) int {
 		if sc.dist[v] >= int32(k) {
 			continue
 		}
-		for _, u := range ep.CSR.Neighbors(int(v)) {
+		for _, u := range ep.Topo.Neighbors(int(v)) {
 			if sc.dist[u] < 0 {
 				sc.dist[u] = sc.dist[v] + 1
 				q = append(q, u)
@@ -222,7 +220,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) int {
 	nodes := make([]rankedNode, k)
 	for i := 0; i < k; i++ {
 		v := ep.Rank[i]
-		nodes[i] = rankedNode{Node: v, Score: float64(ep.CSR.Degree(v))}
+		nodes[i] = rankedNode{Node: v, Score: float64(ep.Topo.Degree(v))}
 	}
 	return writeJSON(w, http.StatusOK, topKResponse{Epoch: ep.Seq, K: k, Nodes: nodes})
 }
@@ -274,7 +272,8 @@ type summaryResponse struct {
 // handleLabels returns one node's full label set, or the epoch summary when
 // no node is named. With ?hash=1 the summary includes an order-insensitive
 // hash of the epoch's topology — how a restarted server proves its recovered
-// state is bit-equivalent to what the client saw before the crash.
+// state is bit-equivalent to what the client saw before the crash. The hash
+// is computed once per epoch (Epoch.GraphHash).
 func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) int {
 	query := r.URL.Query()
 	ep := s.epoch.Load()
@@ -285,11 +284,11 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) int {
 			cdsSize = ep.CDSSize
 		}
 		resp := summaryResponse{
-			Epoch: ep.Seq, Nodes: ep.CSR.N(), Edges: ep.CSR.M(), Dest: ls.Dest,
+			Epoch: ep.Seq, Nodes: ep.Topo.N(), Edges: ep.Topo.M(), Dest: ls.Dest,
 			MISSize: ep.MISSize, CDSSize: cdsSize, Unreachable: ep.Unreachable,
 		}
 		if query.Get("hash") != "" {
-			resp.GraphHash = fmt.Sprintf("%016x", wal.CSRHash(ep.CSR))
+			resp.GraphHash = fmt.Sprintf("%016x", ep.GraphHash())
 		}
 		return writeJSON(w, http.StatusOK, resp)
 	}
@@ -298,7 +297,7 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusBadRequest, err.Error())
 	}
 	resp := nodeLabelsResponse{
-		Epoch: ep.Seq, Node: node, Degree: ep.CSR.Degree(node),
+		Epoch: ep.Seq, Node: node, Degree: ep.Topo.Degree(node),
 		RouteDist: -1, RouteNext: int(ls.Next[node]), MIS: ls.MIS[node],
 	}
 	if d := ls.Dist[node]; !math.IsInf(d, 1) {

@@ -33,7 +33,7 @@ func TestServerWarmStartFromLabels(t *testing.T) {
 	postMutationsJSON(t, s.Handler(), `{"ops":[{"op":"add","u":1,"v":7},{"op":"add","u":2,"v":9}]}`)
 	postMutationsJSON(t, s.Handler(), `{"ops":[{"op":"remove","u":1,"v":7},{"op":"add","u":3,"v":30}]}`)
 	waitQuiesced(t, s)
-	served := wal.CSRHash(s.Epoch().CSR)
+	served := wal.CSRHash(s.Epoch().Topo)
 	wantDist, wantNext := s.routeSrc.RouteLabels()
 
 	if err := s.Shutdown(context.Background()); err != nil {
@@ -64,7 +64,7 @@ func TestServerWarmStartFromLabels(t *testing.T) {
 	}
 	defer s2.Shutdown(context.Background())
 
-	if got := wal.CSRHash(s2.Epoch().CSR); got != served {
+	if got := wal.CSRHash(s2.Epoch().Topo); got != served {
 		t.Fatalf("recovered server serves hash %x, want %x", got, served)
 	}
 	gotDist, gotNext := s2.routeSrc.RouteLabels()

@@ -304,7 +304,7 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 	// that crashes before its first mutation batch still leaves labels the
 	// next recovery can warm-start from. A warm start that healed nothing
 	// diffs to zero records, so the steady-state restart is free.
-	if err := s.publish(1); err != nil {
+	if err := s.publish(1, nil); err != nil {
 		s.cancel()
 		return nil, fmt.Errorf("server: startup publish: %w", err)
 	}
@@ -386,16 +386,17 @@ func (s *Server) labelSet() *wal.LabelSet {
 
 // publish takes the batch's one label snapshot, journals it when the server
 // has a WAL (journal-before-publish: a label epoch is durable before any
-// reader sees it), and publishes it as epoch seq. It fails only when the
-// journal does, and then publishes nothing.
-func (s *Server) publish(seq uint64) error {
+// reader sees it), and publishes it as epoch seq over a topology that
+// rebuilds the pages of the touched nodes (every page for epoch 1). It
+// fails only when the journal does, and then publishes nothing.
+func (s *Server) publish(seq uint64, touched []int) error {
 	ls := s.labelSet()
 	if s.cfg.WAL != nil {
 		if _, err := s.cfg.WAL.AppendLabels(ls); err != nil {
 			return fmt.Errorf("journal labels: %w", err)
 		}
 	}
-	ep := s.buildEpoch(seq, ls)
+	ep := s.buildEpoch(seq, ls, touched)
 	if s.cfg.OnPublish != nil {
 		s.cfg.OnPublish(ep)
 	}
@@ -497,7 +498,12 @@ func (s *Server) writerStopped() error {
 func (s *Server) applyBatch(batch []Mutation) error {
 	events := make([]sim.Event, len(batch))
 	recs := make([]wal.Record, len(batch))
+	// Every mutation's endpoints, accepted or rejected: a superset of the
+	// rows the batch can change, which is what the epoch's topology
+	// rebuilds.
+	touched := make([]int, 0, 2*len(batch))
 	for i, m := range batch {
+		touched = append(touched, m.U, m.V)
 		op, t := sim.OpAddEdge, wal.TAddEdge
 		if m.Op == "remove" {
 			op, t = sim.OpRemoveEdge, wal.TRemoveEdge
@@ -541,7 +547,7 @@ func (s *Server) applyBatch(batch []Mutation) error {
 	// recovery can never reconstruct labels newer than the durable topology
 	// — a crash between the topology commit and here just costs the next
 	// start a HealDirty pass.
-	if err := s.publish(s.epoch.Load().Seq + 1); err != nil {
+	if err := s.publish(s.epoch.Load().Seq+1, touched); err != nil {
 		s.met.walFailed.Add(1)
 		s.met.abortedBatches.Add(1)
 		return err

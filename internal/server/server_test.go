@@ -187,7 +187,7 @@ func TestEpochConsistencyProperty(t *testing.T) {
 				wantDist = -1
 			}
 			if resp.RouteDist != wantDist || resp.RouteNext != int(ep.Labels.Next[node]) ||
-				resp.MIS != ep.Labels.MIS[node] || resp.Degree != ep.CSR.Degree(node) {
+				resp.MIS != ep.Labels.MIS[node] || resp.Degree != ep.Topo.Degree(node) {
 				errCh <- fmt.Errorf("torn read: %+v does not match epoch %d at node %d", resp, ep.Seq, node)
 				return
 			}

@@ -19,12 +19,13 @@ import (
 	"structura/internal/wal"
 )
 
-// chordedRing is a connected 30-node support (so the CDS engine runs too).
-func chordedRing() *graph.Graph {
-	g := gen.Ring(30)
+// chordedRing is a connected n-node support (so the CDS engine runs too):
+// a ring plus n/2 seeded chords.
+func chordedRing(n int) *graph.Graph {
+	g := gen.Ring(n)
 	r := stats.NewRand(5)
-	for g.M() < 45 {
-		g.TryAddEdge(r.Intn(30), r.Intn(30), 1)
+	for g.M() < n+n/2 {
+		g.TryAddEdge(r.Intn(n), r.Intn(n), 1)
 	}
 	return g
 }
@@ -46,7 +47,7 @@ func nonEdge(g *graph.Graph) (int, int) {
 // replica but the same topology.
 func sharedServer(t *testing.T) (*Server, *wal.Log) {
 	t.Helper()
-	g := chordedRing()
+	g := chordedRing(30)
 	l, err := wal.Create("store", g, wal.Options{FS: wal.NewMemFS(), CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -66,18 +67,33 @@ func sharedServer(t *testing.T) (*Server, *wal.Log) {
 
 // TestPublishEqualsJournal pins the one-snapshot contract on a seeded churn
 // run with the backbone on: every epoch publishes exactly the label set the
-// WAL journaled for it, its counts are counts of that set, and its ranking
-// orders the epoch's own CSR by degree.
+// WAL journaled for it, its counts are counts of that set, its ranking
+// orders the epoch's own topology by degree, and that topology is the
+// writer's graph. The support spans several adjacency pages, so each epoch
+// shares the pages its batch did not touch with the one before, and the
+// previous epoch's topology must be unchanged by the next publish.
 func TestPublishEqualsJournal(t *testing.T) {
-	g := chordedRing()
+	g := chordedRing(400)
 	l, err := wal.Create("store", g, wal.Options{FS: wal.NewMemFS(), CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	published := 0
+	var prev *Epoch
+	var prevHash uint64
 	onPublish := func(ep *Epoch) {
 		published++
+		// OnPublish runs on the writer, so reading its graph here is safe.
+		hash := wal.CSRHash(ep.Topo)
+		if w := l.Graph(); hash != wal.GraphHash(w) || ep.Topo.M() != w.M() {
+			t.Errorf("epoch %d: topology (hash %016x, %d edges) is not the writer's graph (hash %016x, %d edges)",
+				ep.Seq, hash, ep.Topo.M(), wal.GraphHash(w), w.M())
+		}
+		if prev != nil && wal.CSRHash(prev.Topo) != prevHash {
+			t.Errorf("epoch %d changed when epoch %d was built", prev.Seq, ep.Seq)
+		}
+		prev, prevHash = ep, hash
 		got, want := ep.Labels, l.Labels()
 		if got.Dest != want.Dest || !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Next, want.Next) ||
 			!slices.Equal(got.MIS, want.MIS) || got.HasCDS != want.HasCDS || !slices.Equal(got.CDS, want.CDS) {
@@ -102,11 +118,11 @@ func TestPublishEqualsJournal(t *testing.T) {
 			t.Errorf("epoch %d: sizes mis %d cds %d unreachable %d, recounts %d %d %d",
 				ep.Seq, ep.MISSize, ep.CDSSize, ep.Unreachable, mis, cds, unreachable)
 		}
-		rank := make([]int, ep.CSR.N())
+		rank := make([]int, ep.Topo.N())
 		for v := range rank {
 			rank[v] = v
 		}
-		sort.SliceStable(rank, func(i, j int) bool { return ep.CSR.Degree(rank[i]) > ep.CSR.Degree(rank[j]) })
+		sort.SliceStable(rank, func(i, j int) bool { return ep.Topo.Degree(rank[i]) > ep.Topo.Degree(rank[j]) })
 		if !slices.Equal(ep.Rank, rank) {
 			t.Errorf("epoch %d: ranking %v, want IDs by descending degree %v", ep.Seq, ep.Rank, rank)
 		}
@@ -144,6 +160,33 @@ func TestPublishEqualsJournal(t *testing.T) {
 	// Each post is awaited, so no batch spans two; the writer may split one.
 	if published < batches+1 {
 		t.Fatalf("%d epochs published, want at least the startup epoch plus %d batches", published, batches)
+	}
+}
+
+// TestLabelsHashOncePerEpoch: /labels?hash=1 hashes an epoch's topology
+// once. Two hashed summaries of one epoch agree with the writer's graph,
+// and after the first one the epoch's hash is a cached read that allocates
+// nothing.
+func TestLabelsHashOncePerEpoch(t *testing.T) {
+	s, l := sharedServer(t)
+	u, v := nonEdge(l.Graph())
+	if code := postMutations(t, s.Handler(), []Mutation{{Op: "add", U: u, V: v}}); code != http.StatusAccepted {
+		t.Fatalf("mutate: status %d", code)
+	}
+	awaitQuiesced(t, s)
+	ep := s.Epoch()
+	want := fmt.Sprintf("%016x", wal.GraphHash(l.Graph()))
+	for i := 0; i < 2; i++ {
+		var sum summaryResponse
+		if err := json.Unmarshal(do(s.Handler(), http.MethodGet, "/labels?hash=1", "").Body.Bytes(), &sum); err != nil {
+			t.Fatal(err)
+		}
+		if sum.Epoch != ep.Seq || sum.GraphHash != want {
+			t.Fatalf("summary %d: epoch %d hash %s, want epoch %d hash %s", i, sum.Epoch, sum.GraphHash, ep.Seq, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { ep.GraphHash() }); allocs != 0 {
+		t.Fatalf("cached GraphHash allocates %.0f times per call", allocs)
 	}
 }
 
@@ -245,7 +288,7 @@ func TestBatchEdgeCasesOnSharedTopology(t *testing.T) {
 // differs from the WAL's — by size, or by edges at equal size — and accept
 // an equal copy.
 func TestNewRejectsTopologyMismatch(t *testing.T) {
-	g := chordedRing()
+	g := chordedRing(30)
 	l, err := wal.Create("store", g, wal.Options{FS: wal.NewMemFS(), CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +322,7 @@ func TestNewRejectsTopologyMismatch(t *testing.T) {
 // plus one writer batch hold, or a body larger than that many ops can take,
 // gets 413, enqueues nothing, and the server keeps serving.
 func TestMutateRefusesOversizedPosts(t *testing.T) {
-	s, err := New(chordedRing(), Config{SkipCDS: true, QueueDepth: 8, BatchMax: 4})
+	s, err := New(chordedRing(30), Config{SkipCDS: true, QueueDepth: 8, BatchMax: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func TestServerJournalsBeforePublish(t *testing.T) {
 	postMutationsJSON(t, s.Handler(), `{"ops":[{"op":"add","u":3,"v":30},{"op":"add","u":3,"v":30}]}`)
 	waitQuiesced(t, s)
 
-	served := wal.CSRHash(s.Epoch().CSR)
+	served := wal.CSRHash(s.Epoch().Topo)
 	if durable := wal.GraphHash(l.Graph()); durable != served {
 		t.Fatalf("durable replica hash %x != served epoch hash %x", durable, served)
 	}
@@ -108,7 +108,7 @@ func TestServerJournalsBeforePublish(t *testing.T) {
 	}
 	defer s2.Shutdown(context.Background())
 
-	if got := wal.CSRHash(s2.Epoch().CSR); got != served {
+	if got := wal.CSRHash(s2.Epoch().Topo); got != served {
 		t.Fatalf("recovered server serves hash %x, want %x", got, served)
 	}
 

@@ -395,8 +395,18 @@ func GraphHash(g *graph.Graph) uint64 {
 	return hashEdges(g.N(), g.Directed(), g.Edges())
 }
 
-// CSRHash is GraphHash over a frozen CSR snapshot.
-func CSRHash(c *graph.CSR) uint64 {
+// Topology is the read surface CSRHash needs from an immutable topology
+// snapshot; graph.CSR and graph.PagedCSR both provide it.
+type Topology interface {
+	N() int
+	M() int
+	Directed() bool
+	Neighbors(v int) []int32
+	NeighborWeights(v int) []float64
+}
+
+// CSRHash is GraphHash over a frozen snapshot.
+func CSRHash(c Topology) uint64 {
 	edges := make([]graph.Edge, 0, c.M())
 	n := c.N()
 	for u := 0; u < n; u++ {
