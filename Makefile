@@ -54,10 +54,12 @@ race:
 # counting path and, with fractional scores, its comparison path; and the
 # whole-graph Freeze beside the server's page-shared FreezeFrom of one
 # 100-op batch on 100k and 1M ER graphs (the 'Freeze' pattern runs both,
-# here and in bench-json and bench-smoke). The
+# here and in bench-json and bench-smoke); and the writer's whole batch path
+# (WAL append, heal, publish) for one 100-op batch on 10k, 100k and 1M ER
+# stores, whose cost should grow with the batch, not the graph. The
 # async, 10M-node partitioned and serve legs run one complete workload per
-# op, so they get -benchtime 1x; the ranking legs average over 20 and the
-# other legs over 3.
+# op, so they get -benchtime 1x; the ranking legs average over 20, the
+# publish legs over 200 and the other legs over 3.
 bench:
 	$(GO) test -run '^$$' -bench 'Kernel|Freeze' -benchtime 3x ./internal/runtime/bench
 	$(GO) test -run '^$$' -bench DeltaSteady -benchtime 3x ./internal/runtime/bench
@@ -65,6 +67,7 @@ bench:
 	$(GO) test -run '^$$' -bench Async -benchtime 1x ./internal/runtime/bench
 	$(GO) test -run '^$$' -bench PartitionedER10M -benchtime 1x -timeout 30m ./internal/runtime/bench
 	$(GO) test -run '^$$' -bench ServeQPS -benchtime 1x ./internal/server
+	$(GO) test -run '^$$' -bench Publish -benchmem -benchtime 200x ./internal/server
 	$(GO) test -run '^$$' -bench WALIngest -benchtime 200x ./internal/wal
 	$(GO) test -run '^$$' -bench RecoveryReady -benchtime 3x ./internal/server
 	$(GO) test -run '^$$' -bench ReplicaCatchup -benchtime 3x ./internal/replica
@@ -83,6 +86,7 @@ bench-json:
 	  $(GO) test -run '^$$' -bench Async -benchmem -benchtime 1x ./internal/runtime/bench ; \
 	  $(GO) test -run '^$$' -bench PartitionedER10M -benchmem -benchtime 1x -timeout 30m ./internal/runtime/bench ; \
 	  $(GO) test -run '^$$' -bench ServeQPS -benchmem -benchtime 1x ./internal/server ; \
+	  $(GO) test -run '^$$' -bench Publish -benchmem -benchtime 200x ./internal/server ; \
 	  $(GO) test -run '^$$' -bench WALIngest -benchmem -benchtime 200x ./internal/wal ; \
 	  $(GO) test -run '^$$' -bench RecoveryReady -benchmem -benchtime 3x ./internal/server ; \
 	  $(GO) test -run '^$$' -bench ReplicaCatchup -benchmem -benchtime 3x ./internal/replica ; \
@@ -99,10 +103,11 @@ bench-diff:
 # benchmark is excluded here — a single op is a full 100k-node quiescence —
 # and covered by async-smoke at CLI scale instead; the 10M partitioned leg is
 # excluded for the same reason and smoke-covered by partition-smoke. Both
-# ranking legs run.
+# ranking legs and all three publish legs run.
 bench-smoke:
 	{ $(GO) test -run '^$$' -bench 'Kernel|Freeze|Partitioned.*100k' -benchmem -benchtime 1x ./internal/runtime/bench ; \
-	  $(GO) test -run '^$$' -bench Ranking -benchmem -benchtime 1x ./internal/centrality ; } \
+	  $(GO) test -run '^$$' -bench Ranking -benchmem -benchtime 1x ./internal/centrality ; \
+	  $(GO) test -run '^$$' -bench Publish -benchmem -benchtime 1x ./internal/server ; } \
 		| $(GO) run ./cmd/benchjson -o /dev/null
 
 # Short native-fuzz pass over the serialization boundaries, the paged
@@ -112,9 +117,10 @@ bench-smoke:
 # (plan invariants plus exchange cost model == brute-force recount on
 # arbitrary graphs), the server's HTTP handlers (no panic, no 5xx,
 # JSON from every endpoint for any request), the ranking (a
-# permutation in the reference order on either path, NaNs included), and a
+# permutation in the reference order on either path, NaNs included), a
 # mirror's reopen over an arbitrary mirrored log (it keeps a valid,
-# frame-aligned prefix and its view matches recovery).
+# frame-aligned prefix and its view matches recovery), and the label
+# journal (the changed-set path writes the same bytes as the full diff).
 # 10s per target keeps the gate cheap; longer campaigns run the same
 # targets by hand.
 fuzz-smoke:
@@ -126,6 +132,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzRecover -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzLabelDelta -fuzztime 10s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzLabelJournal -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzMirrorOpen -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzHandlers -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzRanking -fuzztime 10s ./internal/centrality/

@@ -217,7 +217,7 @@ func runServe(args []string, out io.Writer) error {
 	}
 	ep := srv.Epoch()
 	fmt.Fprintf(out, "serving %d node(s), %d edge(s), dest %d, epoch %d\n",
-		ep.Topo.N(), ep.Topo.M(), ep.Labels.Dest, ep.Seq)
+		ep.Topo.N(), ep.Topo.M(), ep.Labels.Destination(), ep.Seq)
 
 	shutdown := func() error {
 		if repl != nil {

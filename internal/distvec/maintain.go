@@ -27,6 +27,11 @@ type Maintainer struct {
 	dest int
 	dist []float64 // hop estimate; +Inf = unreachable
 	next []int     // next hop toward dest; -1 at dest and when unreachable
+
+	// Scratch node sets of the repair loop and the detector, reused across
+	// calls: frontier and touched belong to Repair, seen to
+	// InconsistentNear.
+	frontier, touched, seen graph.Marks
 }
 
 // NewMaintainer builds the maintainer over g (retained, read-only) with
@@ -44,6 +49,7 @@ func NewMaintainer(g *graph.Graph, dest int) (*Maintainer, error) {
 		dist: make([]float64, g.N()),
 		next: make([]int, g.N()),
 	}
+	m.sizeMarks()
 	m.Recompute()
 	return m, nil
 }
@@ -53,8 +59,8 @@ func NewMaintainer(g *graph.Graph, dest int) (*Maintainer, error) {
 // warm-start path, where durable (dist, next) arrays are already consistent
 // with g up to a known dirty set the caller heals afterwards. The arrays
 // are copied; only their lengths are validated here (consistency is the
-// supervisor's job: run CheckLocal over the dirty set, or Inconsistent over
-// everything for a full audit).
+// supervisor's job: run CheckLocal over the dirty set, or Sweep for a full
+// audit).
 func NewMaintainerFromLabels(g *graph.Graph, dest int, dist []float64, next []int) (*Maintainer, error) {
 	if g.Directed() {
 		return nil, errors.New("distvec: maintainer needs an undirected support")
@@ -65,12 +71,21 @@ func NewMaintainerFromLabels(g *graph.Graph, dest int, dist []float64, next []in
 	if len(dist) != g.N() || len(next) != g.N() {
 		return nil, errors.New("distvec: label arrays do not match the graph")
 	}
-	return &Maintainer{
+	m := &Maintainer{
 		g:    g,
 		dest: dest,
 		dist: append([]float64(nil), dist...),
 		next: append([]int(nil), next...),
-	}, nil
+	}
+	m.sizeMarks()
+	return m, nil
+}
+
+// sizeMarks allocates the scratch sets up front, off the repair path.
+func (m *Maintainer) sizeMarks() {
+	for _, s := range []*graph.Marks{&m.frontier, &m.touched, &m.seen} {
+		s.Reset(m.g.N())
+	}
 }
 
 // Dest returns the destination node.
@@ -84,6 +99,9 @@ func (m *Maintainer) Dist() []float64 { return append([]float64(nil), m.dist...)
 // and for unreachable nodes. Paired with Dist these are the route labels a
 // serving layer publishes per epoch.
 func (m *Maintainer) NextHops() []int { return append([]int(nil), m.next...) }
+
+// Route returns node v's current label and next hop, without copying.
+func (m *Maintainer) Route(v int) (float64, int) { return m.dist[v], m.next[v] }
 
 // EdgeRemoved reports that support edge (u,v) is gone from the graph. Each
 // endpoint that was routing over it is poisoned on the spot — label +Inf,
@@ -146,29 +164,40 @@ func (m *Maintainer) settle(x int) bool {
 	return true
 }
 
-// Inconsistent returns, among the candidate nodes, those whose (label,
-// next hop) pair disagrees with rule — the local detector. Pass an event's
-// endpoints and their neighbors. Checking the next hop, not just the label,
-// is what makes the detector complete: a node can hold a correct label
-// while its stale next hop still points into a poisoned region, and that
-// stale pointer poisons the node's own advertisement back into the region,
-// hiding a real route behind a value-only check. At the (dist, next) fixed
-// point every hop chain descends by one to the destination, so labels equal
-// BFS hop counts and local consistency everywhere is global correctness.
-func (m *Maintainer) Inconsistent(candidates []int) []int {
+// InconsistentNear returns, among the given nodes and all their neighbors,
+// those whose (label, next hop) pair disagrees with rule, sorted — the
+// local detector. Pass an event's endpoints: poisoning an endpoint changes
+// the offers its neighbors see, so they are candidates too. Checking the
+// next hop, not just the label, is what makes the detector complete: a
+// node can hold a correct label while its stale next hop still points
+// into a poisoned region, and that stale pointer poisons the node's own
+// advertisement back into the region, hiding a real route behind a
+// value-only check. At the (dist, next) fixed point every hop chain
+// descends by one to the destination, so labels equal BFS hop counts and
+// local consistency everywhere is global correctness.
+func (m *Maintainer) InconsistentNear(nodes []int) []int {
 	var out []int
-	seen := make(map[int]bool, len(candidates))
-	for _, x := range candidates {
-		if x < 0 || x >= m.g.N() || seen[x] {
-			continue
-		}
-		seen[x] = true
-		if best, hop := m.rule(x); best != m.dist[x] || hop != m.next[x] {
+	m.seen.Reset(m.g.N())
+	check := func(x int, _ float64) {
+		if m.seen.Add(x) && !m.consistent(x) {
 			out = append(out, x)
 		}
 	}
+	for _, v := range nodes {
+		if v < 0 || v >= m.g.N() {
+			continue
+		}
+		check(v, 0)
+		m.g.EachNeighbor(v, check)
+	}
 	sort.Ints(out)
 	return out
+}
+
+// consistent reports whether x's (label, next hop) pair agrees with rule.
+func (m *Maintainer) consistent(x int) bool {
+	best, hop := m.rule(x)
+	return best == m.dist[x] && hop == m.next[x]
 }
 
 // Repair runs frontier relaxation sweeps from the seed nodes: every sweep
@@ -186,48 +215,53 @@ func (m *Maintainer) Inconsistent(candidates []int) []int {
 // full recompute it would also have to abandon), which is why the error is
 // surfaced separately from ok. A nil ctx disables the checks.
 func (m *Maintainer) Repair(ctx context.Context, seeds []int, maxRounds, maxTouched int) (touched []int, rounds int, ok bool, err error) {
-	frontier := make([]int, 0, len(seeds))
-	inFrontier := make(map[int]bool, len(seeds))
-	push := func(x int) {
-		if x >= 0 && x < m.g.N() && !inFrontier[x] {
-			inFrontier[x] = true
+	n := m.g.N()
+	var frontier []int
+	m.frontier.Reset(n)
+	push := func(x int, _ float64) {
+		if x >= 0 && x < n && m.frontier.Add(x) {
 			frontier = append(frontier, x)
 		}
 	}
 	for _, s := range seeds {
-		push(s)
+		push(s, 0)
 	}
-	touchedSet := make(map[int]bool)
+	m.touched.Reset(n)
+	done := func(ok bool, err error) ([]int, int, bool, error) {
+		sort.Ints(touched)
+		return touched, rounds, ok, err
+	}
 	for len(frontier) > 0 {
 		if ctx != nil {
 			select {
 			case <-ctx.Done():
-				return sortedKeys(touchedSet), rounds, false, ctx.Err()
+				return done(false, ctx.Err())
 			default:
 			}
 		}
 		if maxRounds > 0 && rounds >= maxRounds {
-			return sortedKeys(touchedSet), rounds, false, nil
+			return done(false, nil)
 		}
 		rounds++
 		cur := frontier
 		frontier = nil
-		inFrontier = make(map[int]bool)
+		m.frontier.Reset(n)
 		sort.Ints(cur) // deterministic sweep order
 		for _, x := range cur {
-			if !touchedSet[x] {
-				if maxTouched > 0 && len(touchedSet) >= maxTouched {
-					return sortedKeys(touchedSet), rounds, false, nil
+			if !m.touched.Has(x) {
+				if maxTouched > 0 && len(touched) >= maxTouched {
+					return done(false, nil)
 				}
-				touchedSet[x] = true
+				m.touched.Add(x)
+				touched = append(touched, x)
 			}
 			if m.settle(x) {
-				push(x) // re-check against next sweep's neighborhood
-				m.g.EachNeighbor(x, func(w int, _ float64) { push(w) })
+				push(x, 0) // re-check against next sweep's neighborhood
+				m.g.EachNeighbor(x, push)
 			}
 		}
 	}
-	return sortedKeys(touchedSet), rounds, true, nil
+	return done(true, nil)
 }
 
 // Recompute rebuilds the labels from a BFS — the full-recompute escalation.
@@ -271,13 +305,4 @@ func (m *Maintainer) Recompute() int {
 		m.next[v] = hop
 	}
 	return depth + 1
-}
-
-func sortedKeys(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -23,6 +23,7 @@ type cdsEngine struct {
 	g       *graph.Graph
 	prio    labeling.Priority
 	members map[int]bool
+	changed changeSet
 }
 
 func newCDSEngine(seed uint64) (*cdsEngine, error) {
@@ -51,6 +52,23 @@ func NewCDSEngineOver(g *graph.Graph) (Engine, error) {
 // CDSMembers returns the current backbone members, sorted.
 func (e *cdsEngine) CDSMembers() []int {
 	return sortedSet(e.members)
+}
+
+// InCDS reports node v's current backbone membership.
+func (e *cdsEngine) InCDS(v int) bool { return e.members[v] }
+
+// TakeChanged reports the members repairs added or removed since the last
+// call, or all after a recompute.
+func (e *cdsEngine) TakeChanged() ([]int, bool) { return e.changed.take(e.g.N()) }
+
+// setMember adds v to the backbone or removes it, recording the change.
+func (e *cdsEngine) setMember(v int, in bool) {
+	if in {
+		e.members[v] = true
+	} else {
+		delete(e.members, v)
+	}
+	e.changed.add(v)
 }
 
 func (e *cdsEngine) Name() string       { return "cds" }
@@ -160,7 +178,7 @@ func (e *cdsEngine) Repair(viols []sim.Violation, b Budget) RepairOutcome {
 			// Isolated non-member: no CDS over this topology exists.
 			return RepairOutcome{Touched: sortedSet(touched), Rounds: mods, OK: false}
 		}
-		e.members[best] = true
+		e.setMember(best, true)
 		touched[best] = true
 		touched[v] = true
 		mods++
@@ -185,7 +203,7 @@ func (e *cdsEngine) Repair(viols []sim.Violation, b Budget) RepairOutcome {
 		}
 		for _, w := range path {
 			if !e.members[w] {
-				e.members[w] = true
+				e.setMember(w, true)
 				mods++
 			}
 			touched[w] = true
@@ -204,7 +222,7 @@ func (e *cdsEngine) Repair(viols []sim.Violation, b Budget) RepairOutcome {
 		if !e.members[v] {
 			continue
 		}
-		delete(e.members, v)
+		e.setMember(v, false)
 		if labeling.IsCDS(e.g, e.members) {
 			mods++
 		} else {
@@ -267,6 +285,7 @@ func (e *cdsEngine) Recompute() (int, error) {
 		return 0, err
 	}
 	e.members = labeling.SetOf(cds)
+	e.changed.all()
 	return e.g.N(), nil
 }
 

@@ -14,8 +14,9 @@ import (
 // the dirtied nodes' neighbors: poisoning an endpoint changes the offers
 // its neighbors see.
 type distvecEngine struct {
-	g *graph.Graph // the support the maintainer reads
-	m *distvec.Maintainer
+	g       *graph.Graph // the support the maintainer reads
+	m       *distvec.Maintainer
+	changed changeSet
 }
 
 func newDistVecEngine(seed uint64) (*distvecEngine, error) {
@@ -46,12 +47,27 @@ func (e *distvecEngine) RouteLabels() (dist []float64, next []int) {
 	return e.m.Dist(), e.m.NextHops()
 }
 
+// Route returns node v's current hop distance and next hop, without
+// copying the label arrays.
+func (e *distvecEngine) Route(v int) (float64, int) { return e.m.Route(v) }
+
+// TakeChanged reports every node a repair touched and both endpoints of
+// every removal since the last call; all after a recompute. The endpoints
+// are what EdgeRemoved may poison: a poisoned endpoint with no other
+// neighbor is already consistent at (+Inf, -1), so no repair touches it.
+func (e *distvecEngine) TakeChanged() ([]int, bool) { return e.changed.take(e.g.N()) }
+
 func (e *distvecEngine) Name() string       { return "distvec" }
 func (e *distvecEngine) Live() *graph.Graph { return e.g }
 
 func (e *distvecEngine) Apply(ev sim.Event) ([]int, bool) {
 	if ev.Op == sim.OpRemoveEdge {
 		e.m.EdgeRemoved(ev.U, ev.V)
+		for _, v := range [2]int{ev.U, ev.V} {
+			if v >= 0 && v < e.g.N() {
+				e.changed.add(v)
+			}
+		}
 	}
 	return edgeEndpoints(ev)
 }
@@ -60,7 +76,7 @@ func (e *distvecEngine) CheckLocal(dirty []int) []sim.Violation {
 	if len(dirty) == 0 {
 		return nil
 	}
-	bad := e.m.Inconsistent(expandNeighbors(e.g, dirty))
+	bad := e.m.InconsistentNear(dirty)
 	out := make([]sim.Violation, 0, len(bad))
 	for _, v := range bad {
 		out = append(out, sim.Violation{
@@ -75,10 +91,14 @@ func (e *distvecEngine) Repair(viols []sim.Violation, b Budget) RepairOutcome {
 	// A ctx error surfaces as !OK; the Supervisor re-checks its own context
 	// after Repair and aborts instead of escalating.
 	touched, rounds, ok, _ := e.m.Repair(b.Ctx, violationNodes(viols), b.MaxRounds, b.MaxTouched)
+	for _, v := range touched {
+		e.changed.add(v)
+	}
 	return RepairOutcome{Touched: touched, Rounds: rounds, OK: ok}
 }
 
 func (e *distvecEngine) Recompute() (int, error) {
+	e.changed.all()
 	return e.m.Recompute(), nil
 }
 

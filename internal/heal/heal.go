@@ -144,6 +144,40 @@ func EngineNames() []string {
 	return []string{"cds", "distvec", "hypercube", "mis", "reversal"}
 }
 
+// changeSet records which nodes' labels an engine may have moved since its
+// owner last took them (TakeChanged), so that a serving layer republishes
+// what a batch changed and not what the graph holds. A superset is
+// allowed: the publisher compares values. The zero value reports all, as a
+// newly built engine must.
+type changeSet struct {
+	marks graph.Marks
+	nodes []int
+	some  bool // false: every node may have changed
+}
+
+// add records that v's label may have moved.
+func (c *changeSet) add(v int) {
+	if c.some && c.marks.Add(v) {
+		c.nodes = append(c.nodes, v)
+	}
+}
+
+// all records that every label may have moved.
+func (c *changeSet) all() { c.some = false }
+
+// take returns the recorded nodes, or all=true when every node may have
+// moved, and starts a new record over n nodes. The slice is reused by the
+// next record: read it before the engine next heals.
+func (c *changeSet) take(n int) ([]int, bool) {
+	nodes, all := c.nodes, !c.some
+	if all {
+		nodes = nil
+	}
+	c.nodes, c.some = c.nodes[:0], true
+	c.marks.Reset(n)
+	return nodes, all
+}
+
 // Detection records one transition of the state machine from monitoring to
 // repairing.
 type Detection struct {
@@ -424,9 +458,10 @@ func (s *Supervisor) sweep() []sim.Violation {
 }
 
 // expandNeighbors returns the distinct valid nodes of `nodes` plus all their
-// neighbors, sorted — the candidate set for detectors whose rule reads the
-// neighbors' labels (distvec, hypercube), where a label change at v can make
-// v's neighbors inconsistent too.
+// neighbors, sorted — the candidate set for the hypercube detector, whose
+// rule reads the neighbors' labels, so a label change at v can make v's
+// neighbors inconsistent too. (The distvec maintainer expands its own
+// candidates over reusable marks.)
 func expandNeighbors(g *graph.Graph, nodes []int) []int {
 	set := map[int]bool{}
 	for _, v := range nodes {

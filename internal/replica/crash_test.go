@@ -40,6 +40,10 @@ func TestGenSwapResync(t *testing.T) {
 		p.mutate(t, fmt.Sprintf(`{"ops":[{"op":"add","u":%d,"v":%d}]}`, i, 20+i))
 		waitCaughtUp(t, r, p.log.Seq())
 	}
+	// Catching up on the batch seq is not enough: a compaction can swap the
+	// primary's generation after the replica reached the seq, and the
+	// replica follows with a resync.
+	waitSameGen(t, r, p)
 	if gen := p.log.Metrics().Gen; gen < 3 {
 		t.Fatalf("compaction never swapped generations (gen %d)", gen)
 	}
@@ -54,6 +58,25 @@ func TestGenSwapResync(t *testing.T) {
 	getJSON(t, r.Handler(), "/labels?hash=1", &sum)
 	if want := fmt.Sprintf("%016x", wal.GraphHash(p.log.Graph())); sum.GraphHash != want {
 		t.Fatalf("post-resync hash %s, primary %s", sum.GraphHash, want)
+	}
+}
+
+// waitSameGen waits until the replica has applied the primary's last batch
+// on the primary's live generation.
+func waitSameGen(t *testing.T, r *Replica, p *primaryStack) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		seq, _ := r.Applied()
+		gen := p.log.Metrics().Gen
+		if st := r.SnapshotStats(); st.Gen == gen && seq >= p.log.Seq() {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica on gen %d at seq %d, primary on gen %d at seq %d",
+				r.SnapshotStats().Gen, seq, gen, p.log.Seq())
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 

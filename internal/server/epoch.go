@@ -1,7 +1,6 @@
 package server
 
 import (
-	"math"
 	"sync"
 	"time"
 
@@ -25,23 +24,24 @@ type Epoch struct {
 	// batch that built it did not touch with the previous epoch's Topo.
 	Topo *graph.PagedCSR
 
-	// Labels is the writer's one label snapshot of this epoch — the set
-	// handed to the WAL's AppendLabels when the server journals: route
-	// labels toward Labels.Dest (dist +Inf and next -1 when unreachable),
-	// MIS membership under ID priorities, and CDS backbone membership when
-	// Labels.HasCDS (absent with a disconnected support at startup, or
-	// Config.SkipCDS). Labels.Seq is not set; Seq orders epochs.
-	Labels *wal.LabelSet
+	// Labels is the writer's one label snapshot of this epoch — what the
+	// WAL journaled for it when the server journals: route labels toward
+	// Labels.Destination(), MIS membership under ID priorities, and CDS
+	// backbone membership when Labels.HasBackbone() (absent with a
+	// disconnected support at startup, or Config.SkipCDS). It shares every
+	// label page the batch that built it did not change with the previous
+	// epoch's Labels.
+	Labels *Labels
 
 	// Counts over Labels: MIS members, CDS members, and nodes with no route
-	// to Dest (a staleness signal surfaced by /labels and /metrics).
+	// to the destination (a staleness signal surfaced by /labels and
+	// /metrics).
 	MISSize     int
 	CDSSize     int
 	Unreachable int
 
-	// Degree-centrality ranking: node IDs by descending Topo degree, ties
-	// by ascending ID (centrality.Ranking) — what /centrality/topk slices.
-	Rank []int
+	rankOnce sync.Once
+	rank     []int
 
 	hashOnce sync.Once
 	hash     uint64
@@ -55,35 +55,42 @@ func (ep *Epoch) GraphHash() uint64 {
 	return ep.hash
 }
 
-// buildEpoch assembles the next epoch around the label snapshot ls. Only the
-// writer goroutine calls it. The topology rebuilds the pages of the touched
-// nodes and shares the rest with the published epoch, which is sound
-// because every topology change since that epoch lies on a touched node: a
-// batch that fails before publishing stops the writer. ls and the rebuilt
-// pages are fresh and shared pages are immutable, so publication hands the
-// readers exclusively immutable data.
-func (s *Server) buildEpoch(seq uint64, ls *wal.LabelSet, touched []int) *Epoch {
+// Rank returns the epoch's degree-centrality ranking: node IDs by
+// descending Topo degree, ties by ascending ID (centrality.Ranking) — what
+// /centrality/topk slices. It is computed on the first call and cached, so
+// the writer never ranks: the first top-k query of an epoch pays the
+// counting sort, and an epoch nobody ranks never does. Read-only for the
+// caller.
+func (ep *Epoch) Rank() []int {
+	ep.rankOnce.Do(func() {
+		deg := make([]float64, ep.Topo.N())
+		for v := range deg {
+			deg[v] = float64(ep.Topo.Degree(v))
+		}
+		ep.rank = centrality.Ranking(deg)
+	})
+	return ep.rank
+}
+
+// counts returns the epoch's label tallies.
+func (ep *Epoch) counts() labelCounts {
+	return labelCounts{mis: ep.MISSize, cds: ep.CDSSize, unreachable: ep.Unreachable}
+}
+
+// buildEpoch assembles the next epoch around the label snapshot labels and
+// its counts. Only the writer goroutine calls it. The topology rebuilds the
+// pages of the touched nodes and shares the rest with the published epoch,
+// which is sound because every topology change since that epoch lies on a
+// touched node: a batch that fails before publishing stops the writer. The
+// labels and the rebuilt pages are fresh and shared pages are immutable,
+// so publication hands the readers exclusively immutable data.
+func (s *Server) buildEpoch(seq uint64, labels *Labels, c labelCounts, touched []int) *Epoch {
 	var prev *graph.PagedCSR
 	if last := s.epoch.Load(); last != nil {
 		prev = last.Topo
 	}
-	topo := s.g.FreezeFrom(prev, touched)
-	ep := &Epoch{Seq: seq, Created: time.Now(), Topo: topo, Labels: ls}
-	for v, d := range ls.Dist {
-		if math.IsInf(d, 1) {
-			ep.Unreachable++
-		}
-		if ls.MIS[v] {
-			ep.MISSize++
-		}
-		if ls.HasCDS && ls.CDS[v] {
-			ep.CDSSize++
-		}
+	return &Epoch{
+		Seq: seq, Created: time.Now(), Topo: s.g.FreezeFrom(prev, touched), Labels: labels,
+		MISSize: c.mis, CDSSize: c.cds, Unreachable: c.unreachable,
 	}
-	deg := make([]float64, topo.N())
-	for v := range deg {
-		deg[v] = float64(topo.Degree(v))
-	}
-	ep.Rank = centrality.Ranking(deg)
-	return ep
 }

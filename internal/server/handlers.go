@@ -122,13 +122,14 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) int {
 	}
 	ep := s.epoch.Load()
 	ls := ep.Labels
-	resp := routeResponse{Epoch: ep.Seq, From: from, Dest: ls.Dest, Dist: -1}
-	if d := ls.Dist[from]; !math.IsInf(d, 1) {
+	resp := routeResponse{Epoch: ep.Seq, From: from, Dest: ls.Destination(), Dist: -1}
+	if d, _ := ls.Route(from); !math.IsInf(d, 1) {
 		resp.Dist = d
 		path := []int{from}
-		for v := from; v != ls.Dest; {
-			nx := int(ls.Next[v])
-			if nx < 0 || len(path) > len(ls.Next) {
+		for v := from; v != resp.Dest; {
+			_, next := ls.Route(v)
+			nx := int(next)
+			if nx < 0 || len(path) > ls.N() {
 				return writeError(w, http.StatusInternalServerError, "next-hop chain does not reach dest")
 			}
 			path = append(path, nx)
@@ -207,19 +208,21 @@ type topKResponse struct {
 	Nodes []rankedNode `json:"nodes"`
 }
 
-// handleTopK slices the epoch's precomputed degree-centrality ranking.
+// handleTopK slices the epoch's degree-centrality ranking, which the
+// epoch's first top-k query computes.
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) int {
 	k, err := intParam(r.URL.Query(), "k", 10)
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, err.Error())
 	}
 	ep := s.epoch.Load()
-	if k > len(ep.Rank) {
-		k = len(ep.Rank)
+	rank := ep.Rank()
+	if k > len(rank) {
+		k = len(rank)
 	}
 	nodes := make([]rankedNode, k)
 	for i := 0; i < k; i++ {
-		v := ep.Rank[i]
+		v := rank[i]
 		nodes[i] = rankedNode{Node: v, Score: float64(ep.Topo.Degree(v))}
 	}
 	return writeJSON(w, http.StatusOK, topKResponse{Epoch: ep.Seq, K: k, Nodes: nodes})
@@ -240,11 +243,11 @@ func (s *Server) handleCDSMember(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusBadRequest, err.Error())
 	}
 	ep := s.epoch.Load()
-	if !ep.Labels.HasCDS {
+	if !ep.Labels.HasBackbone() {
 		return writeError(w, http.StatusNotFound, "cds backbone not maintained: "+s.cdsErr)
 	}
 	return writeJSON(w, http.StatusOK, cdsMemberResponse{
-		Epoch: ep.Seq, Node: node, Member: ep.Labels.CDS[node], Size: ep.CDSSize,
+		Epoch: ep.Seq, Node: node, Member: ep.Labels.InCDS(node), Size: ep.CDSSize,
 	})
 }
 
@@ -280,11 +283,11 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) int {
 	ls := ep.Labels
 	if query.Get("node") == "" {
 		cdsSize := -1
-		if ls.HasCDS {
+		if ls.HasBackbone() {
 			cdsSize = ep.CDSSize
 		}
 		resp := summaryResponse{
-			Epoch: ep.Seq, Nodes: ep.Topo.N(), Edges: ep.Topo.M(), Dest: ls.Dest,
+			Epoch: ep.Seq, Nodes: ep.Topo.N(), Edges: ep.Topo.M(), Dest: ls.Destination(),
 			MISSize: ep.MISSize, CDSSize: cdsSize, Unreachable: ep.Unreachable,
 		}
 		if query.Get("hash") != "" {
@@ -296,15 +299,16 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, err.Error())
 	}
+	d, next := ls.Route(node)
 	resp := nodeLabelsResponse{
 		Epoch: ep.Seq, Node: node, Degree: ep.Topo.Degree(node),
-		RouteDist: -1, RouteNext: int(ls.Next[node]), MIS: ls.MIS[node],
+		RouteDist: -1, RouteNext: int(next), MIS: ls.InMIS(node),
 	}
-	if d := ls.Dist[node]; !math.IsInf(d, 1) {
+	if !math.IsInf(d, 1) {
 		resp.RouteDist = d
 	}
-	if ls.HasCDS {
-		in := ls.CDS[node]
+	if ls.HasBackbone() {
+		in := ls.InCDS(node)
 		resp.CDS = &in
 	}
 	return writeJSON(w, http.StatusOK, resp)

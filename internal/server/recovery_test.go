@@ -34,7 +34,7 @@ func TestServerWarmStartFromLabels(t *testing.T) {
 	postMutationsJSON(t, s.Handler(), `{"ops":[{"op":"remove","u":1,"v":7},{"op":"add","u":3,"v":30}]}`)
 	waitQuiesced(t, s)
 	served := wal.CSRHash(s.Epoch().Topo)
-	wantDist, wantNext := s.routeSrc.RouteLabels()
+	wantDist, wantNext := s.src.route.RouteLabels()
 
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
@@ -67,7 +67,7 @@ func TestServerWarmStartFromLabels(t *testing.T) {
 	if got := wal.CSRHash(s2.Epoch().Topo); got != served {
 		t.Fatalf("recovered server serves hash %x, want %x", got, served)
 	}
-	gotDist, gotNext := s2.routeSrc.RouteLabels()
+	gotDist, gotNext := s2.src.route.RouteLabels()
 	for v := range wantDist {
 		if wantDist[v] != gotDist[v] || wantNext[v] != gotNext[v] {
 			t.Fatalf("route label %d diverged after warm start: (%v,%d) vs (%v,%d)",
@@ -169,7 +169,7 @@ func TestJournalBeforePublishCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantDist, _ := cold.(interface{ RouteLabels() ([]float64, []int) }).RouteLabels()
-	gotDist, _ := s2.routeSrc.RouteLabels()
+	gotDist, _ := s2.src.route.RouteLabels()
 	for v := range wantDist {
 		if wantDist[v] != gotDist[v] {
 			t.Fatalf("healed dist[%d] = %v, cold rebuild = %v", v, gotDist[v], wantDist[v])

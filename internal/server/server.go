@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,10 +130,11 @@ type Server struct {
 	g            *graph.Graph
 	dv, mis, cds *heal.Supervisor
 
-	routeSrc interface{ RouteLabels() ([]float64, []int) }
-	misSrc   interface{ MISLabels() []bool }
-	cdsSrc   interface{ CDSMembers() []int } // nil: backbone not maintained
-	cdsErr   string                          // why, when absent
+	// src reads the engines' labels node by node and takes the nodes each
+	// batch changed; changed is the writer's merge buffer for the latter.
+	src     labelSources
+	changed []int
+	cdsErr  string // why the backbone is absent, when it is
 
 	met *metrics
 
@@ -227,8 +229,8 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 		s.cancel()
 		return nil, fmt.Errorf("server: mis engine: %w", err)
 	}
-	s.routeSrc = dvEng.(interface{ RouteLabels() ([]float64, []int) })
-	s.misSrc = misEng.(interface{ MISLabels() []bool })
+	s.src.route = dvEng.(routeSource)
+	s.src.mis = misEng.(misSource)
 	s.dv = &heal.Supervisor{Engine: dvEng, Budget: cfg.RepairBudget, Ctx: s.ctx}
 	s.mis = &heal.Supervisor{Engine: misEng, Budget: cfg.RepairBudget, Ctx: s.ctx}
 
@@ -243,7 +245,7 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 				s.cancel()
 				return nil, fmt.Errorf("server: cds engine: %w", cerr)
 			}
-			s.cdsSrc = cdsEng.(interface{ CDSMembers() []int })
+			s.src.cds = cdsEng.(cdsSource)
 			s.cds = &heal.Supervisor{Engine: cdsEng, Budget: cfg.RepairBudget, Ctx: s.ctx}
 		} else if cdsEng, cerr := heal.NewCDSEngineOver(g); cerr != nil {
 			// No CDS exists (disconnected support). The backbone is optional:
@@ -252,7 +254,7 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 			s.cdsErr = cerr.Error()
 		} else {
 			labelNs += time.Since(labelStart).Nanoseconds()
-			s.cdsSrc = cdsEng.(interface{ CDSMembers() []int })
+			s.src.cds = cdsEng.(cdsSource)
 			s.cds = &heal.Supervisor{Engine: cdsEng, Budget: cfg.RepairBudget, Ctx: s.ctx}
 		}
 	}
@@ -364,39 +366,58 @@ func (s *Server) supervisors() []*heal.Supervisor {
 	return sups
 }
 
-// labelSet snapshots the writer-owned engine state as one label epoch: the
-// one copy of the labels per batch, journaled and then published. Only the
-// writer (or New, before the writer starts) may call it.
-func (s *Server) labelSet() *wal.LabelSet {
-	dist, next := s.routeSrc.RouteLabels()
-	n32 := make([]int32, len(next))
-	for i, v := range next {
-		n32[i] = int32(v)
-	}
-	ls := &wal.LabelSet{Dest: s.cfg.Dest, Dist: dist, Next: n32, MIS: s.misSrc.MISLabels()}
-	if s.cdsSrc != nil {
-		bm := make([]bool, len(dist))
-		for _, v := range s.cdsSrc.CDSMembers() {
-			bm[v] = true
+// takeChanged collects, sorted and distinct, the nodes whose labels any
+// engine reports changed since the last publish, and resets every engine's
+// record; all reports that some engine may have changed every node. Only
+// the writer (or New, before the writer starts) may call it.
+func (s *Server) takeChanged() (nodes []int, all bool) {
+	s.changed = s.changed[:0]
+	for _, c := range []changes{s.src.route, s.src.mis, s.src.cds} {
+		if c == nil {
+			continue
 		}
-		ls.HasCDS, ls.CDS = true, bm
+		ns, a := c.TakeChanged()
+		all = all || a
+		s.changed = append(s.changed, ns...)
 	}
-	return ls
+	if all {
+		return nil, true
+	}
+	slices.Sort(s.changed)
+	s.changed = slices.Compact(s.changed)
+	return s.changed, false
 }
 
-// publish takes the batch's one label snapshot, journals it when the server
-// has a WAL (journal-before-publish: a label epoch is durable before any
-// reader sees it), and publishes it as epoch seq over a topology that
-// rebuilds the pages of the touched nodes (every page for epoch 1). It
-// fails only when the journal does, and then publishes nothing.
+// publish builds the batch's one label epoch — copying only the label pages
+// of the nodes the engines report changed, or every page for epoch 1 and
+// after an escalation — journals it when the server has a WAL
+// (journal-before-publish: a label epoch is durable before any reader sees
+// it), and publishes it as epoch seq over a topology that rebuilds the
+// pages of the touched nodes (every page for epoch 1). It fails only when
+// the journal does, and then publishes nothing.
 func (s *Server) publish(seq uint64, touched []int) error {
-	ls := s.labelSet()
+	prev := s.epoch.Load()
+	nodes, all := s.takeChanged()
+	all = all || prev == nil
+	var labels *Labels
+	var counts labelCounts
+	if all {
+		labels, counts = buildLabels(&s.src, s.n, s.cfg.Dest)
+	} else {
+		labels, counts = prev.Labels.withChanges(&s.src, nodes, prev.counts())
+	}
 	if s.cfg.WAL != nil {
-		if _, err := s.cfg.WAL.AppendLabels(ls); err != nil {
+		if all {
+			nodes = make([]int, s.n)
+			for v := range nodes {
+				nodes[v] = v
+			}
+		}
+		if _, err := s.cfg.WAL.AppendLabelChanges(labels, nodes); err != nil {
 			return fmt.Errorf("journal labels: %w", err)
 		}
 	}
-	ep := s.buildEpoch(seq, ls, touched)
+	ep := s.buildEpoch(seq, labels, counts, touched)
 	if s.cfg.OnPublish != nil {
 		s.cfg.OnPublish(ep)
 	}

@@ -182,12 +182,12 @@ func TestEpochConsistencyProperty(t *testing.T) {
 				errCh <- fmt.Errorf("response names unpublished epoch %d", resp.Epoch)
 				return
 			}
-			wantDist := ep.Labels.Dist[node]
+			wantDist, wantNext := ep.Labels.Route(node)
 			if math.IsInf(wantDist, 1) {
 				wantDist = -1
 			}
-			if resp.RouteDist != wantDist || resp.RouteNext != int(ep.Labels.Next[node]) ||
-				resp.MIS != ep.Labels.MIS[node] || resp.Degree != ep.Topo.Degree(node) {
+			if resp.RouteDist != wantDist || resp.RouteNext != int(wantNext) ||
+				resp.MIS != ep.Labels.InMIS(node) || resp.Degree != ep.Topo.Degree(node) {
 				errCh <- fmt.Errorf("torn read: %+v does not match epoch %d at node %d", resp, ep.Seq, node)
 				return
 			}

@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +17,7 @@ import (
 
 	"structura/internal/gen"
 	"structura/internal/graph"
+	"structura/internal/heal"
 	"structura/internal/stats"
 	"structura/internal/wal"
 )
@@ -65,23 +68,73 @@ func sharedServer(t *testing.T) (*Server, *wal.Log) {
 	return s, l
 }
 
+// labelsHash hashes every label of l node by node, plus its header.
+func labelsHash(l *Labels) uint64 {
+	h := fnv.New64a()
+	fmt.Fprint(h, l.N(), l.Destination(), l.HasBackbone())
+	var buf [14]byte
+	for v := 0; v < l.N(); v++ {
+		d, nx := l.Route(v)
+		binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(d))
+		binary.LittleEndian.PutUint32(buf[8:], uint32(nx))
+		buf[12], buf[13] = byte(b2i(l.InMIS(v))), byte(b2i(l.InCDS(v)))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// sameLabels reports whether the epoch labels got hold exactly the label
+// set want.
+func sameLabels(got *Labels, want *wal.LabelSet) bool {
+	if got.N() != want.N() || got.Destination() != want.Dest || got.HasBackbone() != want.HasCDS {
+		return false
+	}
+	for v := 0; v < got.N(); v++ {
+		d, nx := got.Route(v)
+		if d != want.Dist[v] || nx != want.Next[v] || got.InMIS(v) != want.MIS[v] ||
+			(want.HasCDS && got.InCDS(v) != want.CDS[v]) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestPublishEqualsJournal pins the one-snapshot contract on a seeded churn
 // run with the backbone on: every epoch publishes exactly the label set the
-// WAL journaled for it, its counts are counts of that set, its ranking
-// orders the epoch's own topology by degree, and that topology is the
-// writer's graph. The support spans several adjacency pages, so each epoch
-// shares the pages its batch did not touch with the one before, and the
-// previous epoch's topology must be unchanged by the next publish.
+// WAL journaled for it, its counts are counts of that set, its lazily
+// computed ranking orders the epoch's own topology by degree, and that
+// topology is the writer's graph. The support spans several adjacency and
+// label pages, so each epoch shares the pages its batch did not touch with
+// the one before, and the previous epoch's topology and labels must be
+// unchanged by the next publish. The run repeats with a repair budget of
+// one node, so escalations republish every label page.
 func TestPublishEqualsJournal(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		budget heal.Budget
+	}{
+		{"repair", heal.Budget{}},
+		{"escalate", heal.Budget{MaxTouched: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := publishEqualsJournal(t, tc.budget)
+			if esc := s.met.escalations.Load(); tc.budget.MaxTouched > 0 && esc == 0 {
+				t.Fatal("a one-node repair budget never escalated")
+			}
+		})
+	}
+}
+
+func publishEqualsJournal(t *testing.T, budget heal.Budget) *Server {
 	g := chordedRing(400)
 	l, err := wal.Create("store", g, wal.Options{FS: wal.NewMemFS(), CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	t.Cleanup(func() { l.Close() })
 	published := 0
 	var prev *Epoch
-	var prevHash uint64
+	var prevHash, prevLabels uint64
 	onPublish := func(ep *Epoch) {
 		published++
 		// OnPublish runs on the writer, so reading its graph here is safe.
@@ -90,27 +143,26 @@ func TestPublishEqualsJournal(t *testing.T) {
 			t.Errorf("epoch %d: topology (hash %016x, %d edges) is not the writer's graph (hash %016x, %d edges)",
 				ep.Seq, hash, ep.Topo.M(), wal.GraphHash(w), w.M())
 		}
-		if prev != nil && wal.CSRHash(prev.Topo) != prevHash {
+		if prev != nil && (wal.CSRHash(prev.Topo) != prevHash || labelsHash(prev.Labels) != prevLabels) {
 			t.Errorf("epoch %d changed when epoch %d was built", prev.Seq, ep.Seq)
 		}
-		prev, prevHash = ep, hash
-		got, want := ep.Labels, l.Labels()
-		if got.Dest != want.Dest || !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Next, want.Next) ||
-			!slices.Equal(got.MIS, want.MIS) || got.HasCDS != want.HasCDS || !slices.Equal(got.CDS, want.CDS) {
+		prev, prevHash, prevLabels = ep, hash, labelsHash(ep.Labels)
+		got := ep.Labels
+		if !sameLabels(got, l.Labels()) {
 			t.Errorf("epoch %d publishes labels that differ from the journaled set", ep.Seq)
 		}
-		if !got.HasCDS {
+		if !got.HasBackbone() {
 			t.Errorf("epoch %d: backbone absent on a connected support", ep.Seq)
 		}
 		mis, cds, unreachable := 0, 0, 0
-		for v, d := range got.Dist {
-			if math.IsInf(d, 1) {
+		for v := 0; v < got.N(); v++ {
+			if d, _ := got.Route(v); math.IsInf(d, 1) {
 				unreachable++
 			}
-			if got.MIS[v] {
+			if got.InMIS(v) {
 				mis++
 			}
-			if got.CDS[v] {
+			if got.InCDS(v) {
 				cds++
 			}
 		}
@@ -123,15 +175,15 @@ func TestPublishEqualsJournal(t *testing.T) {
 			rank[v] = v
 		}
 		sort.SliceStable(rank, func(i, j int) bool { return ep.Topo.Degree(rank[i]) > ep.Topo.Degree(rank[j]) })
-		if !slices.Equal(ep.Rank, rank) {
-			t.Errorf("epoch %d: ranking %v, want IDs by descending degree %v", ep.Seq, ep.Rank, rank)
+		if !slices.Equal(ep.Rank(), rank) {
+			t.Errorf("epoch %d: ranking %v, want IDs by descending degree %v", ep.Seq, ep.Rank(), rank)
 		}
 	}
-	s, err := New(g, Config{Dest: 0, WAL: l, OnPublish: onPublish})
+	s, err := New(g, Config{Dest: 0, WAL: l, OnPublish: onPublish, RepairBudget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Shutdown(context.Background())
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
 
 	// Churn chords only: the ring keeps the support connected, so the
 	// backbone stays maintained throughout.
@@ -160,6 +212,48 @@ func TestPublishEqualsJournal(t *testing.T) {
 	// Each post is awaited, so no batch spans two; the writer may split one.
 	if published < batches+1 {
 		t.Fatalf("%d epochs published, want at least the startup epoch plus %d batches", published, batches)
+	}
+	return s
+}
+
+// TestLeafLosesItsOnlyEdge: removing the only edge of a degree-1 node whose
+// route uses it leaves that node consistent at (+Inf, -1) without any
+// repair touching it — only EdgeRemoved's poisoning moves its label. The
+// next epoch must still report it unreachable, and so must the journal.
+func TestLeafLosesItsOnlyEdge(t *testing.T) {
+	g := chordedRing(40)
+	leaf := g.AddNode()
+	g.AddEdge(leaf, 7)
+	l, err := wal.Create("store", g, wal.Options{FS: wal.NewMemFS(), CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	s, err := New(g, Config{Dest: 0, WAL: l, SkipCDS: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	if _, next := s.Epoch().Labels.Route(leaf); next != 7 {
+		t.Fatalf("leaf routes via %d, want its only neighbor 7", next)
+	}
+	if code := postMutations(t, s.Handler(), []Mutation{{Op: "remove", U: leaf, V: 7}}); code != http.StatusAccepted {
+		t.Fatalf("mutate: status %d", code)
+	}
+	awaitQuiesced(t, s)
+	var resp nodeLabelsResponse
+	body := do(s.Handler(), http.MethodGet, fmt.Sprintf("/labels?node=%d", leaf), "").Body.Bytes()
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.RouteDist != -1 || resp.RouteNext != -1 {
+		t.Fatalf("isolated leaf reports dist %v next %d, want unreachable", resp.RouteDist, resp.RouteNext)
+	}
+	if ls := l.Labels(); !math.IsInf(ls.Dist[leaf], 1) || ls.Next[leaf] != -1 {
+		t.Fatalf("journal holds dist %v next %d for the isolated leaf", ls.Dist[leaf], ls.Next[leaf])
+	}
+	if ep := s.Epoch(); ep.Unreachable != 1 {
+		t.Fatalf("epoch counts %d unreachable node(s), want the leaf alone", ep.Unreachable)
 	}
 }
 
@@ -218,7 +312,7 @@ func TestBatchEdgeCasesOnSharedTopology(t *testing.T) {
 	ep := s.Epoch()
 	x := -1
 	for v := 1; v < g.N(); v++ {
-		if ep.Labels.Next[v] >= 0 {
+		if _, next := ep.Labels.Route(v); next >= 0 {
 			x = v
 			break
 		}
@@ -226,7 +320,8 @@ func TestBatchEdgeCasesOnSharedTopology(t *testing.T) {
 	if x < 0 {
 		t.Fatal("no node with a next hop")
 	}
-	y := int(ep.Labels.Next[x])
+	_, next := ep.Labels.Route(x)
+	y := int(next)
 	dup := g.Edges()[0]
 	missU, missV := nonEdge(g)
 

@@ -3,7 +3,9 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"math"
 	"path"
+	"slices"
 	"testing"
 )
 
@@ -265,6 +267,167 @@ func FuzzMirrorOpen(f *testing.F) {
 		}
 		if m2.Durable() != m.Durable() {
 			t.Fatalf("second open kept %d byte(s), first %d", m2.Durable(), m.Durable())
+		}
+	})
+}
+
+// labelTape decodes a fuzz input into label epochs: reads past the end
+// return 0, so every byte string is a valid tape.
+type labelTape struct{ data []byte }
+
+func (t *labelTape) byte() int {
+	if len(t.data) == 0 {
+		return 0
+	}
+	b := t.data[0]
+	t.data = t.data[1:]
+	return int(b)
+}
+
+func (t *labelTape) int(n int) int { return (t.byte() | t.byte()<<8) % n }
+
+// labelStep is one decoded epoch: the full label set and the candidate
+// nodes the changed-set journal is given for it.
+type labelStep struct {
+	ls    *LabelSet
+	nodes []int
+}
+
+// decodeLabelTape turns a tape into at most 24 label epochs over at most
+// 300 nodes. Each step either changes the shape — node count, destination,
+// or backbone presence — or moves a few nodes' labels, and names a
+// candidate superset of the nodes it moved. Distances are hop counts or
+// +Inf, never NaN, as every labeling engine produces.
+func decodeLabelTape(data []byte) []labelStep {
+	tape := &labelTape{data: data}
+	var steps []labelStep
+	cur := randLabels(1, 1+tape.int(300), tape.byte()&1 == 1)
+	for len(steps) < 24 && (len(steps) == 0 || len(tape.data) > 0) {
+		cur = cur.Clone()
+		n := cur.N()
+		var moved []int
+		switch op := tape.byte(); op % 8 {
+		case 0: // a new node count (maybe the same one): every label is rewritten
+			cur = randLabels(int64(tape.byte()), 1+tape.int(300), cur.HasCDS)
+			n = cur.N()
+			for v := 0; v < n; v++ {
+				moved = append(moved, v)
+			}
+		case 1: // the backbone appears or retires
+			if cur.HasCDS = !cur.HasCDS; cur.HasCDS {
+				cur.CDS = make([]bool, n)
+				cur.CDS[tape.int(n)] = true
+			} else {
+				cur.CDS = nil
+			}
+		case 2: // a new destination
+			cur.Dest = tape.int(n)
+		default:
+			for k := tape.byte() % 16; k > 0; k-- {
+				v := tape.int(n)
+				switch b := tape.byte(); b % 4 {
+				case 0:
+					cur.Dist[v] = math.Inf(1)
+					cur.Next[v] = -1
+				case 1:
+					cur.Dist[v] = float64(b % 7)
+					cur.Next[v] = int32(tape.int(n))
+				case 2:
+					cur.MIS[v] = !cur.MIS[v]
+				case 3:
+					if cur.HasCDS {
+						cur.CDS[v] = !cur.CDS[v]
+					}
+				}
+				moved = append(moved, v)
+			}
+		}
+		for k := tape.byte() % 8; k > 0; k-- { // candidates that did not move
+			moved = append(moved, tape.int(n))
+		}
+		slices.Sort(moved)
+		steps = append(steps, labelStep{ls: cur, nodes: slices.Compact(moved)})
+	}
+	return steps
+}
+
+// FuzzLabelJournal pins the changed-set journal to the full one: every
+// sequence of label epochs, each journaled through AppendLabelChanges with
+// a candidate superset of its changes, writes byte-identical log files and
+// keeps the same replica as AppendLabels of every full set on a second
+// store — across changes of node count, destination and backbone. Both
+// stores then recover the same labels, and a changed-set write after Open
+// leaves the recovery report's labels alone.
+func FuzzLabelJournal(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{40, 0, 1, 3, 5, 7, 1, 9, 2, 0, 0, 11, 3, 4, 1, 0, 2})
+	f.Add([]byte{200, 0, 0, 0, 17, 1, 5, 3, 4, 1, 3, 7, 0, 33, 2, 1, 9, 0, 9, 1, 4})
+	f.Add([]byte{44, 1, 1, 2, 9, 0, 1, 3, 0, 5, 3, 1, 0, 0, 3, 8, 2, 0, 1, 3, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		steps := decodeLabelTape(data)
+		n := steps[len(steps)-1].ls.N()
+		stores := [2]*Log{}
+		fss := [2]*MemFS{NewMemFS(), NewMemFS()}
+		for i := range stores {
+			l, err := Create("d", ringGraph(n), Options{FS: fss[i], CompactEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stores[i] = l
+		}
+		changed, full := stores[0], stores[1]
+		for i, st := range steps {
+			batch := []Record{{Type: TAddEdge, U: int32(i % n), V: int32((i * 7) % n), Weight: 1}}
+			for _, l := range stores {
+				if _, err := l.Append(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := changed.AppendLabelChanges(st.ls, st.nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := full.AppendLabels(st.ls)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, _ := fss[0].ReadFile(path.Join("d", changed.logName))
+			b, _ := fss[1].ReadFile(path.Join("d", full.logName))
+			if got != want || !bytes.Equal(a, b) {
+				t.Fatalf("step %d: changed-set journal wrote %d record(s) (%d B), full journal %d (%d B)",
+					i, got, len(a), want, len(b))
+			}
+			if !labelsEqual(changed.Labels(), st.ls) || !labelsEqual(full.Labels(), st.ls) ||
+				changed.Labels().Seq != full.Labels().Seq {
+				t.Fatalf("step %d: journal replicas diverged from the epoch", i)
+			}
+		}
+		var recs [2]Recovery
+		for i, l := range stores {
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			l2, rec, err := Open("d", Options{FS: fss[i], CompactEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l2.Close()
+			stores[i], recs[i] = l2, rec
+		}
+		last := steps[len(steps)-1].ls
+		if !labelsEqual(recs[0].Labels, last) || !labelsEqual(recs[1].Labels, last) {
+			t.Fatal("a recovered store lost the last journaled epoch")
+		}
+		// The log must copy the recovered set before its first in-place
+		// write: the recovery report still holds it.
+		recovered := recs[0].Labels.Clone()
+		next := last.Clone()
+		next.MIS[0] = !next.MIS[0]
+		if _, err := stores[0].AppendLabelChanges(next, []int{0}); err != nil {
+			t.Fatal(err)
+		}
+		if !labelsEqual(recs[0].Labels, recovered) || !labelsEqual(stores[0].Labels(), next) {
+			t.Fatal("the first write after Open changed the recovery report's labels")
 		}
 	})
 }

@@ -44,6 +44,34 @@ func (ls *LabelSet) N() int {
 	return len(ls.Dist)
 }
 
+// LabelReader reads one label epoch node by node — what the journal diffs
+// against its replica. *LabelSet implements it, and so does any other
+// layout of the same labels (the serving layer's paged epochs). The MIS
+// and CDS arrays a reader stands for are N long, CDS only when HasBackbone.
+type LabelReader interface {
+	N() int
+	Destination() int
+	HasBackbone() bool
+	Route(v int) (dist float64, next int32)
+	InMIS(v int) bool
+	InCDS(v int) bool
+}
+
+// Destination returns ls.Dest.
+func (ls *LabelSet) Destination() int { return ls.Dest }
+
+// HasBackbone returns ls.HasCDS.
+func (ls *LabelSet) HasBackbone() bool { return ls.HasCDS }
+
+// Route returns node v's route label.
+func (ls *LabelSet) Route(v int) (float64, int32) { return ls.Dist[v], ls.Next[v] }
+
+// InMIS returns node v's MIS membership.
+func (ls *LabelSet) InMIS(v int) bool { return ls.MIS[v] }
+
+// InCDS returns node v's backbone membership.
+func (ls *LabelSet) InCDS(v int) bool { return ls.CDS[v] }
+
 // Clone deep-copies the set.
 func (ls *LabelSet) Clone() *LabelSet {
 	if ls == nil {
@@ -294,100 +322,105 @@ func chunkNodes(count int, fn func(lo, hi int)) {
 	}
 }
 
-// diffLabels computes the delta records that carry prev to cur. A nil prev,
-// a length change, or a destination change yields full Reset deltas. The
-// returned deltas are in canonical node-ascending order, chunked at
-// maxLabelEntries entries each.
-func diffLabels(prev, cur *LabelSet) []*LabelDelta {
+// diffLabels computes the delta records that carry prev to cur, stamped
+// seq. nodes are the candidates — sorted, distinct, in [0, cur.N()) — and
+// must include every node whose labels differ between prev and cur; only
+// those that do differ are emitted. A nil prev, a length change, or a
+// destination change yields full Reset deltas over every node, whatever
+// the candidates (likewise a backbone that appears). The returned deltas
+// are in canonical node-ascending order, chunked at maxLabelEntries
+// entries each, so any candidate superset yields the same records.
+func diffLabels(prev *LabelSet, cur LabelReader, nodes []int, seq uint64) []*LabelDelta {
 	var out []*LabelDelta
 	n := cur.N()
-	emitRoute := func(nodes []int32, reset bool) {
-		chunkNodes(len(nodes), func(lo, hi int) {
+	dest := cur.Destination()
+	emit := func(kind LabelKind, ids []int32, reset bool) {
+		chunkNodes(len(ids), func(lo, hi int) {
 			d := &LabelDelta{
-				Kind: LabelRoute, Reset: reset && lo == 0, Seq: cur.Seq,
-				N: uint32(n), Dest: int32(cur.Dest),
-				Nodes: nodes[lo:hi],
-				Dists: make([]float64, hi-lo),
-				Nexts: make([]int32, hi-lo),
+				Kind: kind, Reset: reset && lo == 0, Seq: seq,
+				N: uint32(n), Nodes: ids[lo:hi],
 			}
-			for i, v := range d.Nodes {
-				d.Dists[i] = cur.Dist[v]
-				d.Nexts[i] = cur.Next[v]
+			switch kind {
+			case LabelRoute:
+				d.Dest = int32(dest)
+				d.Dists = make([]float64, hi-lo)
+				d.Nexts = make([]int32, hi-lo)
+				for i, v := range d.Nodes {
+					d.Dists[i], d.Nexts[i] = cur.Route(int(v))
+				}
+			case LabelMIS:
+				d.Bits = make([]bool, hi-lo)
+				for i, v := range d.Nodes {
+					d.Bits[i] = cur.InMIS(int(v))
+				}
+			case LabelCDS:
+				d.Bits = make([]bool, hi-lo)
+				for i, v := range d.Nodes {
+					d.Bits[i] = cur.InCDS(int(v))
+				}
 			}
 			out = append(out, d)
 		})
 	}
-	emitBits := func(kind LabelKind, bits []bool, nodes []int32, reset bool) {
-		chunkNodes(len(nodes), func(lo, hi int) {
-			d := &LabelDelta{
-				Kind: kind, Reset: reset && lo == 0, Seq: cur.Seq,
-				N: uint32(n), Nodes: nodes[lo:hi], Bits: make([]bool, hi-lo),
-			}
-			for i, v := range d.Nodes {
-				d.Bits[i] = bits[v]
-			}
-			out = append(out, d)
-		})
-	}
+	var all []int32
 	allNodes := func() []int32 {
-		nodes := make([]int32, n)
-		for i := range nodes {
-			nodes[i] = int32(i)
+		if all == nil {
+			all = make([]int32, n)
+			for i := range all {
+				all[i] = int32(i)
+			}
 		}
-		return nodes
+		return all
 	}
 
-	routeReset := prev == nil || len(prev.Dist) != n || prev.Dest != cur.Dest
-	if routeReset {
-		nodes := allNodes()
-		if len(nodes) > 0 {
-			emitRoute(nodes, true)
+	if prev == nil || len(prev.Dist) != n || prev.Dest != dest {
+		if n > 0 {
+			emit(LabelRoute, allNodes(), true)
 		} else {
-			out = append(out, &LabelDelta{Kind: LabelRoute, Reset: true, Seq: cur.Seq, N: 0, Dest: int32(cur.Dest)})
+			out = append(out, &LabelDelta{Kind: LabelRoute, Reset: true, Seq: seq, N: 0, Dest: int32(dest)})
 		}
 	} else {
-		var nodes []int32
-		for v := 0; v < n; v++ {
-			if cur.Dist[v] != prev.Dist[v] || cur.Next[v] != prev.Next[v] ||
-				(math.IsNaN(cur.Dist[v]) != math.IsNaN(prev.Dist[v])) {
-				nodes = append(nodes, int32(v))
+		var ids []int32
+		for _, v := range nodes {
+			d, nx := cur.Route(v)
+			if d != prev.Dist[v] || nx != prev.Next[v] || math.IsNaN(d) != math.IsNaN(prev.Dist[v]) {
+				ids = append(ids, int32(v))
 			}
 		}
-		if len(nodes) > 0 {
-			emitRoute(nodes, false)
+		if len(ids) > 0 {
+			emit(LabelRoute, ids, false)
 		}
 	}
 
-	misReset := prev == nil || len(prev.MIS) != len(cur.MIS)
-	if misReset {
-		emitBits(LabelMIS, cur.MIS, allNodes()[:len(cur.MIS)], true)
+	if prev == nil || len(prev.MIS) != n {
+		emit(LabelMIS, allNodes(), true)
 	} else {
-		var nodes []int32
-		for v := range cur.MIS {
-			if cur.MIS[v] != prev.MIS[v] {
-				nodes = append(nodes, int32(v))
+		var ids []int32
+		for _, v := range nodes {
+			if cur.InMIS(v) != prev.MIS[v] {
+				ids = append(ids, int32(v))
 			}
 		}
-		if len(nodes) > 0 {
-			emitBits(LabelMIS, cur.MIS, nodes, false)
+		if len(ids) > 0 {
+			emit(LabelMIS, ids, false)
 		}
 	}
 
-	switch {
-	case cur.HasCDS && (prev == nil || !prev.HasCDS || len(prev.CDS) != len(cur.CDS)):
-		emitBits(LabelCDS, cur.CDS, allNodes()[:len(cur.CDS)], true)
-	case cur.HasCDS:
-		var nodes []int32
-		for v := range cur.CDS {
-			if cur.CDS[v] != prev.CDS[v] {
-				nodes = append(nodes, int32(v))
+	switch hasCDS := cur.HasBackbone(); {
+	case hasCDS && (prev == nil || !prev.HasCDS || len(prev.CDS) != n):
+		emit(LabelCDS, allNodes(), true)
+	case hasCDS:
+		var ids []int32
+		for _, v := range nodes {
+			if cur.InCDS(v) != prev.CDS[v] {
+				ids = append(ids, int32(v))
 			}
 		}
-		if len(nodes) > 0 {
-			emitBits(LabelCDS, cur.CDS, nodes, false)
+		if len(ids) > 0 {
+			emit(LabelCDS, ids, false)
 		}
 	case prev != nil && prev.HasCDS:
-		out = append(out, &LabelDelta{Kind: LabelCDS, Absent: true, Seq: cur.Seq, N: uint32(n)})
+		out = append(out, &LabelDelta{Kind: LabelCDS, Absent: true, Seq: seq, N: uint32(n)})
 	}
 	return out
 }

@@ -56,6 +56,15 @@ func mutateLabels(seed int64, ls *LabelSet, changes int) {
 	}
 }
 
+// diffAll is diffLabels with every node a candidate, stamped cur.Seq.
+func diffAll(prev, cur *LabelSet) []*LabelDelta {
+	nodes := make([]int, cur.N())
+	for i := range nodes {
+		nodes[i] = i
+	}
+	return diffLabels(prev, cur, nodes, cur.Seq)
+}
+
 func labelsEqual(a, b *LabelSet) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -134,7 +143,7 @@ func TestDiffApplyLabels(t *testing.T) {
 				mutateLabels(int64(step), cur, 10)
 			}
 		}
-		deltas := diffLabels(prev, cur)
+		deltas := diffAll(prev, cur)
 		for _, d := range deltas {
 			// Deltas must survive their own codec before applying.
 			dd, err := DecodeLabelDelta(EncodeLabelDelta(d))
@@ -154,7 +163,7 @@ func TestDiffApplyLabels(t *testing.T) {
 		prev = cur.Clone()
 	}
 	// No-op diff is empty.
-	if d := diffLabels(prev, prev.Clone()); len(d) != 0 {
+	if d := diffAll(prev, prev.Clone()); len(d) != 0 {
 		t.Fatalf("identical sets produced %d delta(s)", len(d))
 	}
 }

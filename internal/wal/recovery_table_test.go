@@ -33,7 +33,7 @@ func TestRecoveryTruncationTable(t *testing.T) {
 	ls := randLabels(3, n, false)
 	ls.Seq = 1
 	var labels1 []byte
-	deltas := diffLabels(nil, ls)
+	deltas := diffAll(nil, ls)
 	for _, d := range deltas {
 		labels1 = appendFrame(labels1, Record{Type: TLabelDelta, Label: d})
 	}

@@ -119,6 +119,10 @@ type Log struct {
 
 	g      *graph.Graph // authoritative durable replica
 	labels *LabelSet    // durable label replica (nil until first AppendLabels)
+	// ownLabels: labels is this log's own copy, free to update in place.
+	// The set Open recovers is shared with its Recovery report, so the
+	// first journal write after Open copies it.
+	ownLabels bool
 
 	f        File
 	snapName string
@@ -204,7 +208,7 @@ func openStore(dir string, opts Options, bumpFence bool) (*Log, Recovery, error)
 		fsys: opts.FS, dir: dir, opts: opts, g: g,
 		seq: rec.Seq, cum: rec.Records,
 		gen: rec.Gen, fence: rec.Fence,
-		labels: rec.Labels,
+		labels: rec.Labels, ownLabels: rec.Labels == nil,
 	}
 	if l.fence == 0 {
 		l.fence = 1 // v1 superblocks carry no token
@@ -406,43 +410,73 @@ func (l *Log) syncNow() error {
 // the last committed batch sequence. Label records follow the commit marker
 // of the batch they reflect, so a recovered label set can never be newer
 // than the recovered topology — the journal-before-publish contract's
-// durable half. Returns the number of delta records written.
+// durable half. Returns the number of delta records written. It diffs
+// every node; AppendLabelChanges is the same journal for a caller that
+// knows which nodes changed. The log keeps no reference to ls.
 //
 // Labels are a cache of computation: losing an unsynced label suffix only
 // costs a localized heal on recovery, never correctness.
 func (l *Log) AppendLabels(ls *LabelSet) (int, error) {
+	if ls == nil {
+		return 0, l.labelsWritable()
+	}
+	nodes := make([]int, ls.N())
+	for i := range nodes {
+		nodes[i] = i
+	}
+	return l.AppendLabelChanges(ls, nodes)
+}
+
+// AppendLabelChanges is AppendLabels for a label epoch whose values differ
+// from the last journaled one at most at nodes — sorted, distinct and in
+// [0, cur.N()). Only those nodes are read and compared, so the cost is
+// O(len(nodes)) unless the epoch changes shape (node count, destination,
+// backbone presence), which rewrites every node. The records are the ones
+// AppendLabels writes for the same epoch, and the replica is updated in
+// place by folding them in, exactly as recovery would.
+func (l *Log) AppendLabelChanges(cur LabelReader, nodes []int) (int, error) {
+	if err := l.labelsWritable(); err != nil {
+		return 0, err
+	}
+	if !l.ownLabels {
+		l.labels = l.labels.Clone()
+		l.ownLabels = true
+	}
+	deltas := diffLabels(l.labels, cur, nodes, l.seq)
+	if len(deltas) > 0 {
+		buf := l.buf[:0]
+		for _, d := range deltas {
+			buf = appendFrame(buf, Record{Type: TLabelDelta, Label: d})
+		}
+		l.buf = buf[:0]
+		if err := l.write(buf); err != nil {
+			return 0, fmt.Errorf("wal: append labels at batch %d: %w", l.seq, err)
+		}
+		if err := l.maybeSync(); err != nil {
+			return 0, fmt.Errorf("wal: fsync labels at batch %d: %w", l.seq, err)
+		}
+		if l.labels == nil {
+			l.labels = &LabelSet{}
+		}
+		for _, d := range deltas {
+			applyLabelDelta(l.labels, d)
+		}
+		l.mLabelRecs.Add(uint64(len(deltas)))
+	}
+	l.labels.Seq = l.seq
+	l.mLabelSeq.Store(l.seq)
+	return len(deltas), nil
+}
+
+// labelsWritable reports why the log cannot journal labels, if it cannot.
+func (l *Log) labelsWritable() error {
 	if l.broken != nil {
-		return 0, ErrBroken
+		return ErrBroken
 	}
 	if l.fenced.Load() {
-		return 0, ErrFenced
+		return ErrFenced
 	}
-	if ls == nil {
-		return 0, nil
-	}
-	cur := ls.Clone()
-	cur.Seq = l.seq
-	deltas := diffLabels(l.labels, cur)
-	if len(deltas) == 0 {
-		l.labels = cur
-		l.mLabelSeq.Store(cur.Seq)
-		return 0, nil
-	}
-	buf := l.buf[:0]
-	for _, d := range deltas {
-		buf = appendFrame(buf, Record{Type: TLabelDelta, Label: d})
-	}
-	l.buf = buf[:0]
-	if err := l.write(buf); err != nil {
-		return 0, fmt.Errorf("wal: append labels at batch %d: %w", l.seq, err)
-	}
-	if err := l.maybeSync(); err != nil {
-		return 0, fmt.Errorf("wal: fsync labels at batch %d: %w", l.seq, err)
-	}
-	l.labels = cur
-	l.mLabelRecs.Add(uint64(len(deltas)))
-	l.mLabelSeq.Store(cur.Seq)
-	return len(deltas), nil
+	return nil
 }
 
 // Labels returns the durable label replica (nil until the first
