@@ -56,7 +56,8 @@ race:
 # 100-op batch on 100k and 1M ER graphs (the 'Freeze' pattern runs both,
 # here and in bench-json and bench-smoke); and the writer's whole batch path
 # (WAL append, heal, publish) for one 100-op batch on 10k, 100k and 1M ER
-# stores, whose cost should grow with the batch, not the graph. The
+# stores, whose cost should grow with the batch, not the graph, plus one
+# 256-op batch, the ingest-sized one, on the 100k store. The
 # async, 10M-node partitioned and serve legs run one complete workload per
 # op, so they get -benchtime 1x; the ranking legs average over 20, the
 # publish legs over 200 and the other legs over 3.
@@ -103,7 +104,7 @@ bench-diff:
 # benchmark is excluded here — a single op is a full 100k-node quiescence —
 # and covered by async-smoke at CLI scale instead; the 10M partitioned leg is
 # excluded for the same reason and smoke-covered by partition-smoke. Both
-# ranking legs and all three publish legs run.
+# ranking legs and all four publish legs run.
 bench-smoke:
 	{ $(GO) test -run '^$$' -bench 'Kernel|Freeze|Partitioned.*100k' -benchmem -benchtime 1x ./internal/runtime/bench ; \
 	  $(GO) test -run '^$$' -bench Ranking -benchmem -benchtime 1x ./internal/centrality ; \
@@ -137,10 +138,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHandlers -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzRanking -fuzztime 10s ./internal/centrality/
 
-# Supervised MIS must survive 200 rounds of add/remove churn with zero
-# standing violations; the heal subcommand exits nonzero otherwise.
+# Supervised MIS and distance vectors must each survive 200 rounds of
+# add/remove churn with zero standing violations; the heal subcommand exits
+# nonzero otherwise. Both engines verify a repair only where it moved
+# labels, so these runs also exercise the narrowed verify under escalation.
 heal-smoke:
 	$(GO) run ./cmd/structura heal -engine mis -seed 1 -rounds 200 \
+		-churn-add 1 -churn-remove 1 -max-touched 12
+	$(GO) run ./cmd/structura heal -engine distvec -seed 1 -rounds 200 \
 		-churn-add 1 -churn-remove 1 -max-touched 12
 
 # The async executor must reproduce the synchronous outcome on a confluent

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 
 	"structura/internal/graph"
@@ -137,14 +138,18 @@ func (m *Maintainer) offer(w, x int) float64 {
 
 // rule computes x's (label, next hop) pair from its neighbors' poisoned
 // advertisements under the hop ceiling — what settle assigns and
-// Inconsistent checks against.
+// InconsistentNear checks against. Among equally close neighbors the lowest
+// ID wins, so the fixed point is a function of the edge set alone: a graph
+// rebuilt from its edges (a snapshot, a reopen) lists a row's neighbors in
+// another order, and a row-order tie-break would leave the recovered labels
+// failing this rule.
 func (m *Maintainer) rule(x int) (float64, int) {
 	if x == m.dest {
 		return 0, -1
 	}
 	best, hop := math.Inf(1), -1
 	m.g.EachNeighbor(x, func(w int, _ float64) {
-		if d := m.offer(w, x) + 1; d < best {
+		if d := m.offer(w, x) + 1; d < best || (d == best && hop >= 0 && w < hop) {
 			best, hop = d, w
 		}
 	})
@@ -200,22 +205,35 @@ func (m *Maintainer) consistent(x int) bool {
 	return best == m.dist[x] && hop == m.next[x]
 }
 
+// RepairResult is what one Repair call did.
+type RepairResult struct {
+	Touched []int // distinct nodes settled, sorted
+	Moved   []int // distinct nodes whose label settling changed, sorted
+	Rounds  int   // relaxation sweeps run
+	OK      bool  // the frontier drained within the budget
+}
+
 // Repair runs frontier relaxation sweeps from the seed nodes: every sweep
 // settles the current frontier synchronously and enqueues the neighbors of
-// every node whose label changed. It stops when the frontier drains (ok),
+// every node whose label changed. It stops when the frontier drains (OK),
 // or when it would exceed maxRounds sweeps or maxTouched distinct nodes
-// (not ok — the caller escalates to Recompute). A partition drives labels
+// (not OK — the caller escalates to Recompute). A partition drives labels
 // up toward the hop ceiling one sweep at a time, which is exactly the
 // bounded count-to-infinity the budget converts into an escalation.
 //
+// Moved is what bounds the caller's verification: rule(x) reads only x's
+// row and its neighbors' labels, so once the frontier drains, a node can
+// disagree with rule only if it was a seed or neighbors a moved node.
+//
 // ctx is checked before every sweep (mirroring runtime.WithContext): a
 // repair interrupted mid-cascade stops where it is and returns ctx.Err()
-// with ok == false. A cancelled repair is NOT a budget exhaustion — the
+// with OK == false. A cancelled repair is NOT a budget exhaustion — the
 // caller should abort (e.g. a server shutting down must not escalate to a
 // full recompute it would also have to abandon), which is why the error is
-// surfaced separately from ok. A nil ctx disables the checks.
-func (m *Maintainer) Repair(ctx context.Context, seeds []int, maxRounds, maxTouched int) (touched []int, rounds int, ok bool, err error) {
+// surfaced separately from OK. A nil ctx disables the checks.
+func (m *Maintainer) Repair(ctx context.Context, seeds []int, maxRounds, maxTouched int) (RepairResult, error) {
 	n := m.g.N()
+	var res RepairResult
 	var frontier []int
 	m.frontier.Reset(n)
 	push := func(x int, _ float64) {
@@ -227,9 +245,12 @@ func (m *Maintainer) Repair(ctx context.Context, seeds []int, maxRounds, maxTouc
 		push(s, 0)
 	}
 	m.touched.Reset(n)
-	done := func(ok bool, err error) ([]int, int, bool, error) {
-		sort.Ints(touched)
-		return touched, rounds, ok, err
+	done := func(ok bool, err error) (RepairResult, error) {
+		sort.Ints(res.Touched)
+		sort.Ints(res.Moved)
+		res.Moved = slices.Compact(res.Moved) // a node may move more than once
+		res.OK = ok
+		return res, err
 	}
 	for len(frontier) > 0 {
 		if ctx != nil {
@@ -239,23 +260,24 @@ func (m *Maintainer) Repair(ctx context.Context, seeds []int, maxRounds, maxTouc
 			default:
 			}
 		}
-		if maxRounds > 0 && rounds >= maxRounds {
+		if maxRounds > 0 && res.Rounds >= maxRounds {
 			return done(false, nil)
 		}
-		rounds++
+		res.Rounds++
 		cur := frontier
 		frontier = nil
 		m.frontier.Reset(n)
 		sort.Ints(cur) // deterministic sweep order
 		for _, x := range cur {
 			if !m.touched.Has(x) {
-				if maxTouched > 0 && len(touched) >= maxTouched {
+				if maxTouched > 0 && len(res.Touched) >= maxTouched {
 					return done(false, nil)
 				}
 				m.touched.Add(x)
-				touched = append(touched, x)
+				res.Touched = append(res.Touched, x)
 			}
 			if m.settle(x) {
+				res.Moved = append(res.Moved, x)
 				push(x, 0) // re-check against next sweep's neighborhood
 				m.g.EachNeighbor(x, push)
 			}
@@ -266,11 +288,10 @@ func (m *Maintainer) Repair(ctx context.Context, seeds []int, maxRounds, maxTouc
 
 // Recompute rebuilds the labels from a BFS — the full-recompute escalation.
 // Its cost, charged as one sweep per BFS level, is what localized repair is
-// measured against. Next hops are assigned the way settle breaks ties (the
-// first one-level-closer neighbor in adjacency order), not the BFS discovery
-// parent: the two can disagree, and a recomputed table whose hops fail the
-// engine's own local detector would re-trigger repair on perfectly good
-// distances.
+// measured against. Next hops are assigned the way rule breaks ties (the
+// lowest-ID one-level-closer neighbor), not the BFS discovery parent: the
+// two can disagree, and a recomputed table whose hops fail the engine's own
+// local detector would re-trigger repair on perfectly good distances.
 func (m *Maintainer) Recompute() int {
 	n := m.g.N()
 	for v := 0; v < n; v++ {
@@ -298,7 +319,7 @@ func (m *Maintainer) Recompute() int {
 		}
 		hop := -1
 		m.g.EachNeighbor(v, func(w int, _ float64) {
-			if hop == -1 && m.dist[w] == m.dist[v]-1 {
+			if m.dist[w] == m.dist[v]-1 && (hop == -1 || w < hop) {
 				hop = w
 			}
 		})

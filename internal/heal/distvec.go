@@ -87,14 +87,24 @@ func (e *distvecEngine) CheckLocal(dirty []int) []sim.Violation {
 	return out
 }
 
+// Repair relaxes from the violated nodes and asks to be verified on the
+// seeds and the nodes it moved; CheckLocal expands those to their
+// neighbors. That is exact: rule(x) reads only x's row and its neighbors'
+// labels, the topology stands still while a batch heals, and detection
+// judged every node the dirty set reaches, so a node's verdict can differ
+// from detection's only if it was a seed or a neighbor of a moved node.
 func (e *distvecEngine) Repair(viols []sim.Violation, b Budget) RepairOutcome {
 	// A ctx error surfaces as !OK; the Supervisor re-checks its own context
 	// after Repair and aborts instead of escalating.
-	touched, rounds, ok, _ := e.m.Repair(b.Ctx, violationNodes(viols), b.MaxRounds, b.MaxTouched)
-	for _, v := range touched {
+	seeds := violationNodes(viols)
+	res, _ := e.m.Repair(b.Ctx, seeds, b.MaxRounds, b.MaxTouched)
+	for _, v := range res.Touched {
 		e.changed.add(v)
 	}
-	return RepairOutcome{Touched: touched, Rounds: rounds, OK: ok}
+	return RepairOutcome{
+		Touched: res.Touched, Rounds: res.Rounds, OK: res.OK,
+		Recheck: append(seeds, res.Moved...),
+	}
 }
 
 func (e *distvecEngine) Recompute() (int, error) {

@@ -72,6 +72,16 @@ type RepairOutcome struct {
 	Touched []int // distinct nodes examined or moved, sorted
 	Rounds  int   // repair sweeps (the localized analogue of kernel rounds)
 	OK      bool  // false: budget exhausted mid-repair, caller must escalate
+
+	// Recheck names the nodes the supervisor's verify passes to CheckLocal
+	// after an OK repair: every node whose detector verdict the repair may
+	// have changed. Nil means Touched plus the batch's dirty set, which is
+	// exact for any engine with a complete detector. An engine narrows it
+	// only with a written argument: detection already judged every node
+	// its dirty set reaches, and every violation became a seed, so only
+	// the seeds and the nodes whose rule reads a label the repair changed
+	// can have a new verdict.
+	Recheck []int
 }
 
 // Engine is a supervised labeling engine: a live structure over a churning
@@ -107,7 +117,9 @@ type Engine interface {
 	// no violation exists unless one is rooted at a dirtied node.
 	CheckLocal(dirty []int) []sim.Violation
 
-	// Repair attempts a localized fix for the violations under the budget.
+	// Repair attempts a localized fix for the violations under the budget,
+	// and names in the outcome's Recheck the nodes an OK repair is verified
+	// on (see RepairOutcome).
 	Repair(viols []sim.Violation, b Budget) RepairOutcome
 
 	// Recompute rebuilds the structure from the live topology, returning
@@ -415,11 +427,14 @@ func (s *Supervisor) resolve(rep *Report, viols []sim.Violation, dirty []int) ([
 			return viols, cerr
 		}
 		// A repair must verify before it counts: the engine's detector is
-		// re-run over everything the repair moved plus the original dirty
-		// set. Anything left standing escalates.
+		// re-run over the nodes whose verdict the repair may have changed.
+		// Anything left standing escalates.
 		if out.OK {
-			left := eng.CheckLocal(append(append([]int(nil), out.Touched...), dirty...))
-			if len(left) == 0 {
+			recheck := out.Recheck
+			if recheck == nil {
+				recheck = append(append([]int(nil), out.Touched...), dirty...)
+			}
+			if left := eng.CheckLocal(recheck); len(left) == 0 {
 				rep.RepairTouched += len(out.Touched)
 				if n := eng.Live().N(); n > 0 {
 					if frac := float64(len(out.Touched)) / float64(n); frac > rep.MaxTouchedFrac {

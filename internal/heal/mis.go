@@ -74,6 +74,12 @@ func (e *misEngine) CheckLocal(dirty []int) []sim.Violation {
 // Repair cascades re-elections from the violated nodes. The cascade has no
 // sweep structure, so the flip count stands in for repair rounds and the
 // MaxTouched bound is the budget that matters.
+//
+// The repair is verified on Touched alone. A node's rule reads only its
+// higher-priority neighbors' membership, and an OK cascade pops every seed
+// and every lower-priority neighbor of every flip, so Touched holds every
+// node whose verdict can differ from detection's; the rest of the dirty
+// set was judged consistent and nothing it reads has moved since.
 func (e *misEngine) Repair(viols []sim.Violation, b Budget) RepairOutcome {
 	// A ctx error surfaces as !OK; the Supervisor re-checks its own context
 	// after Repair and aborts instead of escalating.
@@ -81,7 +87,7 @@ func (e *misEngine) Repair(viols []sim.Violation, b Budget) RepairOutcome {
 	for _, v := range touched {
 		e.changed.add(v)
 	}
-	return RepairOutcome{Touched: touched, Rounds: flips, OK: ok}
+	return RepairOutcome{Touched: touched, Rounds: flips, OK: ok, Recheck: touched}
 }
 
 func (e *misEngine) Recompute() (int, error) {

@@ -100,17 +100,24 @@ func BenchmarkServeQPS(b *testing.B) {
 // previous batch's adds and 50 fresh adds — appended to the log, healed
 // through every supervisor and published: label pages, journal deltas and
 // topology pages. Publishing shares every page the batch left alone, so
-// ns/op and B/op should grow with the batch, not with n.
+// ns/op and B/op should grow with the batch, not with n. The n100k_256op
+// leg runs 256-op batches, the size the writer drains under a sustained
+// ingest.
 func BenchmarkPublish(b *testing.B) {
 	for _, leg := range []struct {
-		name string
-		n    int
-	}{{"n10k", 10_000}, {"n100k", 100_000}, {"n1m", 1_000_000}} {
-		b.Run(leg.name, func(b *testing.B) { benchPublish(b, leg.n) })
+		name     string
+		n, batch int
+	}{
+		{"n10k", 10_000, 100},
+		{"n100k", 100_000, 100},
+		{"n100k_256op", 100_000, 256},
+		{"n1m", 1_000_000, 100},
+	} {
+		b.Run(leg.name, func(b *testing.B) { benchPublish(b, leg.n, leg.batch) })
 	}
 }
 
-func benchPublish(b *testing.B, n int) {
+func benchPublish(b *testing.B, n, size int) {
 	g := gen.SparseErdosRenyi(stats.NewRand(1), n, 10.0/float64(n-1))
 	srv, l := reopenedServer(b, g)
 	defer l.Close()
@@ -120,14 +127,14 @@ func benchPublish(b *testing.B, n int) {
 	// applyBatch itself.
 	r := stats.NewRand(7)
 	var adds []Mutation
-	batch := make([]Mutation, 0, 100)
+	batch := make([]Mutation, 0, size)
 	next := func() []Mutation {
 		batch = batch[:0]
 		for _, m := range adds {
 			batch = append(batch, Mutation{Op: "remove", U: m.U, V: m.V})
 		}
 		adds = adds[:0]
-		for len(adds) < 50 {
+		for len(adds) < size/2 {
 			if u, v := r.Intn(n), r.Intn(n); u != v {
 				adds = append(adds, Mutation{Op: "add", U: u, V: v})
 			}

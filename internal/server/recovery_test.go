@@ -7,7 +7,9 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"structura/internal/gen"
 	"structura/internal/heal"
+	"structura/internal/stats"
 	"structura/internal/wal"
 )
 
@@ -179,5 +181,84 @@ func TestJournalBeforePublishCrash(t *testing.T) {
 		if v := sup.Sweep(); len(v) != 0 {
 			t.Fatalf("post-heal sweep found %d violation(s): %v", len(v), v[0])
 		}
+	}
+}
+
+// TestPromotedLabelsPassTheDetector pins that route labels are a function
+// of the edge set, not of adjacency order. Churn appends new neighbors at
+// the end of a row, while a compacted snapshot rebuilds every row from the
+// sorted edge list, so the reopened graph lists neighbors in another order.
+// After churn, compaction and a promotion, every recovered label must
+// satisfy the detector — the warm start heals only the dirty set, so a
+// label it does not cover is never looked at again — and the next batch
+// must heal without an escalation.
+func TestPromotedLabelsPassTheDetector(t *testing.T) {
+	const n = 2000
+	mem := wal.NewMemFS()
+	opts := wal.Options{FS: mem, CompactEvery: 8}
+	g := gen.SparseErdosRenyi(stats.NewRand(5), n, 8.0/float64(n-1))
+	l, err := wal.Create("store", g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(g, Config{SkipCDS: true, WAL: l})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := stats.NewRand(9)
+	var adds []Mutation
+	batch := func() []Mutation {
+		var ops []Mutation
+		k := min(10, len(adds))
+		for _, m := range adds[:k] {
+			ops = append(ops, Mutation{Op: "remove", U: m.U, V: m.V})
+		}
+		adds = adds[k:]
+		for i := 0; i < 40; i++ {
+			if u, v := r.Intn(n), r.Intn(n); u != v {
+				m := Mutation{Op: "add", U: u, V: v}
+				ops = append(ops, m)
+				adds = append(adds, m)
+			}
+		}
+		return ops
+	}
+	for i := 0; i < 20; i++ {
+		if err := s.applyBatch(batch()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, rec, err := wal.Promote("store", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if rec.Labels == nil {
+		t.Fatal("recovery carried no label epoch")
+	}
+	s2, err := New(l2.Graph(), Config{SkipCDS: true, WAL: l2, Recovered: &rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Shutdown(context.Background())
+	all := make([]int, n)
+	for v := range all {
+		all[v] = v
+	}
+	if bad := s2.dv.Engine.CheckLocal(all); len(bad) != 0 {
+		t.Fatalf("%d promoted route label(s) fail the detector, first %s", len(bad), bad[0])
+	}
+	if err := s2.applyBatch(batch()); err != nil {
+		t.Fatal(err)
+	}
+	if esc := s2.met.escalations.Load(); esc != 0 {
+		t.Fatalf("%d escalation(s) after promotion, want 0", esc)
 	}
 }
