@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build fmt vet test race bench bench-json bench-diff bench-smoke fuzz-smoke heal-smoke async-smoke partition-smoke serve-smoke wal-smoke replica-smoke perfbench-test verify
+.PHONY: build fmt vet test loc race bench bench-json bench-diff bench-smoke fuzz-smoke heal-smoke async-smoke partition-smoke serve-smoke wal-smoke replica-smoke perfbench-test verify
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,14 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Non-test Go lines per package under internal/ and cmd/, then their sum:
+# lines deleted is how a simplification is measured.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' -exec wc -l {} + | \
+		awk '$$2 != "total" { sub(/\/[^\/]*$$/, "", $$2); n[$$2] += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d }' | sort -k2 | \
+		awk '{ print; t += $$1 } END { printf "%7d total\n", t }'
 
 # The parallel kernel must stay race-clean: the sharded stepping of
 # internal/runtime's one round loop (full and delta mode, clean and
@@ -121,7 +129,9 @@ bench-smoke:
 # permutation in the reference order on either path, NaNs included), a
 # mirror's reopen over an arbitrary mirrored log (it keeps a valid,
 # frame-aligned prefix and its view matches recovery), and the label
-# journal (the changed-set path writes the same bytes as the full diff).
+# journal (the changed-set path, fed through a reader that is not a
+# LabelSet, writes the same log and snapshot bytes as the full diff, across
+# compactions).
 # 10s per target keeps the gate cheap; longer campaigns run the same
 # targets by hand.
 fuzz-smoke:

@@ -23,7 +23,6 @@ type cdsEngine struct {
 	g       *graph.Graph
 	prio    labeling.Priority
 	members map[int]bool
-	changed changeSet
 }
 
 func newCDSEngine(seed uint64) (*cdsEngine, error) {
@@ -56,20 +55,6 @@ func (e *cdsEngine) CDSMembers() []int {
 
 // InCDS reports node v's current backbone membership.
 func (e *cdsEngine) InCDS(v int) bool { return e.members[v] }
-
-// TakeChanged reports the members repairs added or removed since the last
-// call, or all after a recompute.
-func (e *cdsEngine) TakeChanged() ([]int, bool) { return e.changed.take(e.g.N()) }
-
-// setMember adds v to the backbone or removes it, recording the change.
-func (e *cdsEngine) setMember(v int, in bool) {
-	if in {
-		e.members[v] = true
-	} else {
-		delete(e.members, v)
-	}
-	e.changed.add(v)
-}
 
 func (e *cdsEngine) Name() string       { return "cds" }
 func (e *cdsEngine) Live() *graph.Graph { return e.g }
@@ -178,7 +163,7 @@ func (e *cdsEngine) Repair(viols []sim.Violation, b Budget) RepairOutcome {
 			// Isolated non-member: no CDS over this topology exists.
 			return RepairOutcome{Touched: sortedSet(touched), Rounds: mods, OK: false}
 		}
-		e.setMember(best, true)
+		e.members[best] = true
 		touched[best] = true
 		touched[v] = true
 		mods++
@@ -203,7 +188,7 @@ func (e *cdsEngine) Repair(viols []sim.Violation, b Budget) RepairOutcome {
 		}
 		for _, w := range path {
 			if !e.members[w] {
-				e.setMember(w, true)
+				e.members[w] = true
 				mods++
 			}
 			touched[w] = true
@@ -222,7 +207,7 @@ func (e *cdsEngine) Repair(viols []sim.Violation, b Budget) RepairOutcome {
 		if !e.members[v] {
 			continue
 		}
-		e.setMember(v, false)
+		delete(e.members, v)
 		if labeling.IsCDS(e.g, e.members) {
 			mods++
 		} else {
@@ -285,7 +270,6 @@ func (e *cdsEngine) Recompute() (int, error) {
 		return 0, err
 	}
 	e.members = labeling.SetOf(cds)
-	e.changed.all()
 	return e.g.N(), nil
 }
 

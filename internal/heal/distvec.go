@@ -14,9 +14,8 @@ import (
 // the dirtied nodes' neighbors: poisoning an endpoint changes the offers
 // its neighbors see.
 type distvecEngine struct {
-	g       *graph.Graph // the support the maintainer reads
-	m       *distvec.Maintainer
-	changed changeSet
+	g *graph.Graph // the support the maintainer reads
+	m *distvec.Maintainer
 }
 
 func newDistVecEngine(seed uint64) (*distvecEngine, error) {
@@ -51,23 +50,12 @@ func (e *distvecEngine) RouteLabels() (dist []float64, next []int) {
 // copying the label arrays.
 func (e *distvecEngine) Route(v int) (float64, int) { return e.m.Route(v) }
 
-// TakeChanged reports every node a repair touched and both endpoints of
-// every removal since the last call; all after a recompute. The endpoints
-// are what EdgeRemoved may poison: a poisoned endpoint with no other
-// neighbor is already consistent at (+Inf, -1), so no repair touches it.
-func (e *distvecEngine) TakeChanged() ([]int, bool) { return e.changed.take(e.g.N()) }
-
 func (e *distvecEngine) Name() string       { return "distvec" }
 func (e *distvecEngine) Live() *graph.Graph { return e.g }
 
 func (e *distvecEngine) Apply(ev sim.Event) ([]int, bool) {
 	if ev.Op == sim.OpRemoveEdge {
 		e.m.EdgeRemoved(ev.U, ev.V)
-		for _, v := range [2]int{ev.U, ev.V} {
-			if v >= 0 && v < e.g.N() {
-				e.changed.add(v)
-			}
-		}
 	}
 	return edgeEndpoints(ev)
 }
@@ -98,19 +86,13 @@ func (e *distvecEngine) Repair(viols []sim.Violation, b Budget) RepairOutcome {
 	// after Repair and aborts instead of escalating.
 	seeds := violationNodes(viols)
 	res, _ := e.m.Repair(b.Ctx, seeds, b.MaxRounds, b.MaxTouched)
-	for _, v := range res.Touched {
-		e.changed.add(v)
-	}
 	return RepairOutcome{
 		Touched: res.Touched, Rounds: res.Rounds, OK: res.OK,
 		Recheck: append(seeds, res.Moved...),
 	}
 }
 
-func (e *distvecEngine) Recompute() (int, error) {
-	e.changed.all()
-	return e.m.Recompute(), nil
-}
+func (e *distvecEngine) Recompute() (int, error) { return e.m.Recompute(), nil }
 
 func (e *distvecEngine) Snapshot() *sim.World {
 	return &sim.World{

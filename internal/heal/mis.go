@@ -14,10 +14,9 @@ import (
 // escalation re-runs the distributed three-color election, whose stable
 // outcome is the same fixed point.
 type misEngine struct {
-	g       *graph.Graph
-	prio    labeling.Priority
-	in      []bool
-	changed changeSet
+	g    *graph.Graph
+	prio labeling.Priority
+	in   []bool
 }
 
 func newMISEngine(seed uint64) (*misEngine, error) {
@@ -50,10 +49,6 @@ func (e *misEngine) MISLabels() []bool {
 // InMIS reports node v's current membership.
 func (e *misEngine) InMIS(v int) bool { return e.in[v] }
 
-// TakeChanged reports the nodes repairs popped since the last call — every
-// flip happens on a popped node — or all after an escalation.
-func (e *misEngine) TakeChanged() ([]int, bool) { return e.changed.take(e.g.N()) }
-
 func (e *misEngine) Name() string       { return "mis" }
 func (e *misEngine) Live() *graph.Graph { return e.g }
 
@@ -84,9 +79,6 @@ func (e *misEngine) Repair(viols []sim.Violation, b Budget) RepairOutcome {
 	// A ctx error surfaces as !OK; the Supervisor re-checks its own context
 	// after Repair and aborts instead of escalating.
 	touched, flips, ok, _ := labeling.MaintainMISContext(b.Ctx, e.g, e.in, e.prio, violationNodes(viols), b.MaxTouched)
-	for _, v := range touched {
-		e.changed.add(v)
-	}
 	return RepairOutcome{Touched: touched, Rounds: flips, OK: ok, Recheck: touched}
 }
 
@@ -95,7 +87,6 @@ func (e *misEngine) Recompute() (int, error) {
 	// the outcome is bit-identical to full mode, and a supervised
 	// recompute is exactly the steady-state regime (most of the graph is
 	// already at the fixed point) where frontier rounds are O(changes).
-	e.changed.all()
 	res, err := labeling.DistributedMIS(e.g, e.prio, runtime.WithDelta())
 	if err != nil {
 		return 0, err

@@ -63,33 +63,16 @@ type labelCounts struct {
 	mis, cds, unreachable int
 }
 
-// changes is what the engines a label epoch is read from report after each
-// heal: TakeChanged returns the nodes whose labels may have moved since the
-// previous call — a superset, since publishing compares values — or
-// all=true when any node may have (after a recompute, and for a newly
-// built engine), and forgets them. The slice is valid until the engine
-// next heals.
-type changes interface {
-	TakeChanged() (nodes []int, all bool)
-}
-
-// The engine faces a label epoch is read through: per-node labels plus the
-// nodes each batch changed. RouteLabels copies every route label out, for
-// tests that compare whole arrays.
+// The engine faces a label epoch is read through, node by node.
+// RouteLabels copies every route label out, for tests that compare whole
+// arrays.
 type (
 	routeSource interface {
 		Route(v int) (float64, int)
 		RouteLabels() ([]float64, []int)
-		changes
 	}
-	misSource interface {
-		InMIS(v int) bool
-		changes
-	}
-	cdsSource interface {
-		InCDS(v int) bool
-		changes
-	}
+	misSource interface{ InMIS(v int) bool }
+	cdsSource interface{ InCDS(v int) bool }
 )
 
 // labelSources are the writer's engines a label epoch is read from; cds is

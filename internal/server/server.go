@@ -130,11 +130,8 @@ type Server struct {
 	g            *graph.Graph
 	dv, mis, cds *heal.Supervisor
 
-	// src reads the engines' labels node by node and takes the nodes each
-	// batch changed; changed is the writer's merge buffer for the latter.
-	src     labelSources
-	changed []int
-	cdsErr  string // why the backbone is absent, when it is
+	src    labelSources // reads the engines' labels node by node
+	cdsErr string       // why the backbone is absent, when it is
 
 	met *metrics
 
@@ -306,7 +303,7 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 	// that crashes before its first mutation batch still leaves labels the
 	// next recovery can warm-start from. A warm start that healed nothing
 	// diffs to zero records, so the steady-state restart is free.
-	if err := s.publish(1, nil); err != nil {
+	if err := s.publish(1, nil, nil); err != nil {
 		s.cancel()
 		return nil, fmt.Errorf("server: startup publish: %w", err)
 	}
@@ -366,54 +363,32 @@ func (s *Server) supervisors() []*heal.Supervisor {
 	return sups
 }
 
-// takeChanged collects, sorted and distinct, the nodes whose labels any
-// engine reports changed since the last publish, and resets every engine's
-// record; all reports that some engine may have changed every node. Only
-// the writer (or New, before the writer starts) may call it.
-func (s *Server) takeChanged() (nodes []int, all bool) {
-	s.changed = s.changed[:0]
-	for _, c := range []changes{s.src.route, s.src.mis, s.src.cds} {
-		if c == nil {
-			continue
-		}
-		ns, a := c.TakeChanged()
-		all = all || a
-		s.changed = append(s.changed, ns...)
-	}
-	if all {
-		return nil, true
-	}
-	slices.Sort(s.changed)
-	s.changed = slices.Compact(s.changed)
-	return s.changed, false
-}
-
 // publish builds the batch's one label epoch — copying only the label pages
-// of the nodes the engines report changed, or every page for epoch 1 and
-// after an escalation — journals it when the server has a WAL
-// (journal-before-publish: a label epoch is durable before any reader sees
-// it), and publishes it as epoch seq over a topology that rebuilds the
-// pages of the touched nodes (every page for epoch 1). It fails only when
-// the journal does, and then publishes nothing.
-func (s *Server) publish(seq uint64, touched []int) error {
+// of the candidate nodes whose labels moved, or every page when candidates
+// is nil (epoch 1, and after an escalation) — journals it when the server
+// has a WAL (journal-before-publish: a label epoch is durable before any
+// reader sees it), and publishes it as epoch seq over a topology that
+// rebuilds the pages of the touched nodes (every page for epoch 1).
+// candidates are sorted and distinct; touched are the batch's endpoints. It
+// fails only when the journal does, and then publishes nothing.
+func (s *Server) publish(seq uint64, touched, candidates []int) error {
 	prev := s.epoch.Load()
-	nodes, all := s.takeChanged()
-	all = all || prev == nil
+	all := candidates == nil || prev == nil
 	var labels *Labels
 	var counts labelCounts
 	if all {
 		labels, counts = buildLabels(&s.src, s.n, s.cfg.Dest)
 	} else {
-		labels, counts = prev.Labels.withChanges(&s.src, nodes, prev.counts())
+		labels, counts = prev.Labels.withChanges(&s.src, candidates, prev.counts())
 	}
 	if s.cfg.WAL != nil {
 		if all {
-			nodes = make([]int, s.n)
-			for v := range nodes {
-				nodes[v] = v
+			candidates = make([]int, s.n)
+			for v := range candidates {
+				candidates[v] = v
 			}
 		}
-		if _, err := s.cfg.WAL.AppendLabelChanges(labels, nodes); err != nil {
+		if _, err := s.cfg.WAL.AppendLabelChanges(labels, candidates); err != nil {
 			return fmt.Errorf("journal labels: %w", err)
 		}
 	}
@@ -548,7 +523,11 @@ func (s *Server) applyBatch(batch []Mutation) error {
 			e.ApplyEdge(s.g)
 		}
 	}
-	// The whole batch is applied before any engine hears of it.
+	// The whole batch is applied before any engine hears of it. By the
+	// heal.Engine rule, labels moved only at the batch's endpoints and
+	// within the repairs' Touched, unless some engine escalated: those are
+	// the publish's candidates, built for this batch alone.
+	candidates := slices.Clone(touched)
 	for _, sup := range s.supervisors() {
 		rep, err := sup.HealBatch(events)
 		if rep != nil {
@@ -562,13 +541,22 @@ func (s *Server) applyBatch(batch []Mutation) error {
 			s.met.abortedBatches.Add(1)
 			return fmt.Errorf("heal %s: %w", sup.Engine.Name(), err)
 		}
+		if rep.Escalations > 0 {
+			candidates = nil
+		} else if candidates != nil {
+			candidates = append(candidates, rep.Touched...)
+		}
+	}
+	if candidates != nil {
+		slices.Sort(candidates)
+		candidates = slices.Compact(candidates)
 	}
 	// The label snapshot is journaled after the topology commit and before
 	// publication. Its deltas are stamped with the committed batch seq, so
 	// recovery can never reconstruct labels newer than the durable topology
 	// — a crash between the topology commit and here just costs the next
 	// start a HealDirty pass.
-	if err := s.publish(s.epoch.Load().Seq+1, touched); err != nil {
+	if err := s.publish(s.epoch.Load().Seq+1, touched, candidates); err != nil {
 		s.met.walFailed.Add(1)
 		s.met.abortedBatches.Add(1)
 		return err

@@ -194,7 +194,11 @@ func (a *Applier) Dirty() []int {
 }
 
 // UsableLabels reports whether the applied label epoch can describe the
-// applied graph (present and length-matched).
+// applied graph: present, and every array it holds is one label per node.
+// A crash can tear an epoch that changed the node count between its route
+// and membership records, leaving arrays of two lengths.
 func (a *Applier) UsableLabels() bool {
-	return a.Labels != nil && a.Labels.N() == a.G.N()
+	ls, n := a.Labels, a.G.N()
+	return ls != nil && len(ls.Dist) == n && len(ls.Next) == n && len(ls.MIS) == n &&
+		(!ls.HasCDS || len(ls.CDS) == n)
 }

@@ -351,31 +351,71 @@ func decodeLabelTape(data []byte) []labelStep {
 	return steps
 }
 
+// rowLabels is a LabelReader that is not a *LabelSet: one row per node
+// instead of one array per label, as an epoch layout other than the log's
+// own would hold them.
+type rowLabels struct {
+	dest   int
+	hasCDS bool
+	rows   []labelRow
+}
+
+type labelRow struct {
+	dist     float64
+	next     int32
+	mis, cds bool
+}
+
+func toRows(ls *LabelSet) *rowLabels {
+	r := &rowLabels{dest: ls.Dest, hasCDS: ls.HasCDS, rows: make([]labelRow, ls.N())}
+	for v := range r.rows {
+		r.rows[v] = labelRow{dist: ls.Dist[v], next: ls.Next[v], mis: ls.MIS[v], cds: ls.HasCDS && ls.CDS[v]}
+	}
+	return r
+}
+
+func (r *rowLabels) N() int                       { return len(r.rows) }
+func (r *rowLabels) Destination() int             { return r.dest }
+func (r *rowLabels) HasBackbone() bool            { return r.hasCDS }
+func (r *rowLabels) Route(v int) (float64, int32) { return r.rows[v].dist, r.rows[v].next }
+func (r *rowLabels) InMIS(v int) bool             { return r.rows[v].mis }
+func (r *rowLabels) InCDS(v int) bool             { return r.rows[v].cds }
+
 // FuzzLabelJournal pins the changed-set journal to the full one: every
-// sequence of label epochs, each journaled through AppendLabelChanges with
-// a candidate superset of its changes, writes byte-identical log files and
-// keeps the same replica as AppendLabels of every full set on a second
-// store — across changes of node count, destination and backbone. Both
-// stores then recover the same labels, and a changed-set write after Open
-// leaves the recovery report's labels alone.
+// sequence of label epochs, each journaled through AppendLabelChanges of a
+// rowLabels copy with a candidate superset of its changes, writes
+// byte-identical log and snapshot files to AppendLabels of every full set
+// on a second store — across changes of node count, destination and
+// backbone, and across compactions, whose snapshots encode the retained
+// epoch through its reader. Both stores then recover byte-identical labels,
+// and a changed-set write after Open leaves the recovery report's labels
+// alone.
 func FuzzLabelJournal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{40, 0, 1, 3, 5, 7, 1, 9, 2, 0, 0, 11, 3, 4, 1, 0, 2})
 	f.Add([]byte{200, 0, 0, 0, 17, 1, 5, 3, 4, 1, 3, 7, 0, 33, 2, 1, 9, 0, 9, 1, 4})
 	f.Add([]byte{44, 1, 1, 2, 9, 0, 1, 3, 0, 5, 3, 1, 0, 0, 3, 8, 2, 0, 1, 3, 0, 1})
+	const compactEvery = 3
 	f.Fuzz(func(t *testing.T, data []byte) {
 		steps := decodeLabelTape(data)
 		n := steps[len(steps)-1].ls.N()
 		stores := [2]*Log{}
 		fss := [2]*MemFS{NewMemFS(), NewMemFS()}
 		for i := range stores {
-			l, err := Create("d", ringGraph(n), Options{FS: fss[i], CompactEvery: -1})
+			l, err := Create("d", ringGraph(n), Options{FS: fss[i], CompactEvery: compactEvery})
 			if err != nil {
 				t.Fatal(err)
 			}
 			stores[i] = l
 		}
 		changed, full := stores[0], stores[1]
+		sameFile := func(step int, name string) {
+			a, _ := fss[0].ReadFile(path.Join("d", name))
+			b, _ := fss[1].ReadFile(path.Join("d", name))
+			if !bytes.Equal(a, b) {
+				t.Fatalf("step %d: %s differs between the stores (%d vs %d B)", step, name, len(a), len(b))
+			}
+		}
 		for i, st := range steps {
 			batch := []Record{{Type: TAddEdge, U: int32(i % n), V: int32((i * 7) % n), Weight: 1}}
 			for _, l := range stores {
@@ -383,7 +423,8 @@ func FuzzLabelJournal(f *testing.F) {
 					t.Fatal(err)
 				}
 			}
-			got, err := changed.AppendLabelChanges(st.ls, st.nodes)
+			rows := toRows(st.ls)
+			got, err := changed.AppendLabelChanges(rows, st.nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -391,15 +432,15 @@ func FuzzLabelJournal(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, _ := fss[0].ReadFile(path.Join("d", changed.logName))
-			b, _ := fss[1].ReadFile(path.Join("d", full.logName))
-			if got != want || !bytes.Equal(a, b) {
-				t.Fatalf("step %d: changed-set journal wrote %d record(s) (%d B), full journal %d (%d B)",
-					i, got, len(a), want, len(b))
+			if got != want || changed.snapName != full.snapName || changed.logName != full.logName {
+				t.Fatalf("step %d: changed-set journal wrote %d record(s) to %s, full journal %d to %s",
+					i, got, changed.logName, want, full.logName)
 			}
-			if !labelsEqual(changed.Labels(), st.ls) || !labelsEqual(full.Labels(), st.ls) ||
-				changed.Labels().Seq != full.Labels().Seq {
-				t.Fatalf("step %d: journal replicas diverged from the epoch", i)
+			sameFile(i, changed.snapName)
+			sameFile(i, changed.logName)
+			if changed.Labels() != LabelReader(rows) || full.Labels() != LabelReader(st.ls) ||
+				changed.Metrics().LabelSeq != full.Metrics().LabelSeq {
+				t.Fatalf("step %d: a journal did not retain the epoch it wrote", i)
 			}
 		}
 		var recs [2]Recovery
@@ -407,7 +448,7 @@ func FuzzLabelJournal(f *testing.F) {
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
-			l2, rec, err := Open("d", Options{FS: fss[i], CompactEvery: -1})
+			l2, rec, err := Open("d", Options{FS: fss[i], CompactEvery: compactEvery})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -415,18 +456,24 @@ func FuzzLabelJournal(f *testing.F) {
 			stores[i], recs[i] = l2, rec
 		}
 		last := steps[len(steps)-1].ls
-		if !labelsEqual(recs[0].Labels, last) || !labelsEqual(recs[1].Labels, last) {
+		if !labelsEqual(recs[0].Labels, last) {
 			t.Fatal("a recovered store lost the last journaled epoch")
 		}
-		// The log must copy the recovered set before its first in-place
-		// write: the recovery report still holds it.
+		a := appendLabelSection(nil, recs[0].Labels, recs[0].Labels.Seq)
+		b := appendLabelSection(nil, recs[1].Labels, recs[1].Labels.Seq)
+		if !bytes.Equal(a, b) {
+			t.Fatal("the two stores recovered different labels")
+		}
+		sameFile(len(steps), stores[0].snapName)
+		// The recovered set becomes the log's baseline; the next write must
+		// leave the recovery report's copy as it was.
 		recovered := recs[0].Labels.Clone()
 		next := last.Clone()
 		next.MIS[0] = !next.MIS[0]
 		if _, err := stores[0].AppendLabelChanges(next, []int{0}); err != nil {
 			t.Fatal(err)
 		}
-		if !labelsEqual(recs[0].Labels, recovered) || !labelsEqual(stores[0].Labels(), next) {
+		if !labelsEqual(recs[0].Labels, recovered) || stores[0].Labels() != LabelReader(next) {
 			t.Fatal("the first write after Open changed the recovery report's labels")
 		}
 	})

@@ -48,12 +48,13 @@ const (
 // the edge list (u, v, weight — each undirected edge once), an optional
 // label section, and a trailing CRC32C over everything before it.
 func EncodeSnapshot(g *graph.Graph, seq, cum uint64) []byte {
-	return EncodeSnapshotLabels(g, seq, cum, nil)
+	return EncodeSnapshotLabels(g, seq, cum, nil, 0)
 }
 
-// EncodeSnapshotLabels is EncodeSnapshot plus the durable label epoch
-// compacted into the image (nil labels → an empty label section).
-func EncodeSnapshotLabels(g *graph.Graph, seq, cum uint64, ls *LabelSet) []byte {
+// EncodeSnapshotLabels is EncodeSnapshot plus the durable label epoch ls
+// reads, stamped labelSeq, compacted into the image (nil → an empty label
+// section).
+func EncodeSnapshotLabels(g *graph.Graph, seq, cum uint64, ls LabelReader, labelSeq uint64) []byte {
 	edges := g.Edges()
 	buf := make([]byte, 0, 4+2+8+8+1+4+8+16*len(edges)+labelSectionSize(ls)+4)
 	buf = append(buf, snapMagic...)
@@ -72,11 +73,11 @@ func EncodeSnapshotLabels(g *graph.Graph, seq, cum uint64, ls *LabelSet) []byte 
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.To))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Weight))
 	}
-	buf = appendLabelSection(buf, ls)
+	buf = appendLabelSection(buf, ls, labelSeq)
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
 
-func labelSectionSize(ls *LabelSet) int {
+func labelSectionSize(ls LabelReader) int {
 	if ls == nil {
 		return 1
 	}
@@ -84,38 +85,41 @@ func labelSectionSize(ls *LabelSet) int {
 	return 1 + 8 + 4 + 4 + n*12 + (n+7)/8 + 1 + (n+7)/8
 }
 
-// appendLabelSection serializes ls: a presence byte, then seq, dest, n,
-// dist (f64×n), next (i32×n), the MIS bitset, a CDS presence byte, and the
-// CDS bitset when present.
-func appendLabelSection(buf []byte, ls *LabelSet) []byte {
+// appendLabelSection serializes ls stamped seq: a presence byte, then seq,
+// dest, n, dist (f64×n), next (i32×n), the MIS bitset, a CDS presence
+// byte, and the CDS bitset when present.
+func appendLabelSection(buf []byte, ls LabelReader, seq uint64) []byte {
 	if ls == nil {
 		return append(buf, 0)
 	}
 	buf = append(buf, 1)
 	n := ls.N()
-	buf = binary.LittleEndian.AppendUint64(buf, ls.Seq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(ls.Dest))
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(ls.Destination()))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	for _, d := range ls.Dist {
+	for v := 0; v < n; v++ {
+		d, _ := ls.Route(v)
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d))
 	}
-	for _, nx := range ls.Next {
+	for v := 0; v < n; v++ {
+		_, nx := ls.Route(v)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(nx))
 	}
-	buf = appendBitset(buf, ls.MIS)
-	if ls.HasCDS {
+	buf = appendBitset(buf, n, ls.InMIS)
+	if ls.HasBackbone() {
 		buf = append(buf, 1)
-		buf = appendBitset(buf, ls.CDS)
+		buf = appendBitset(buf, n, ls.InCDS)
 	} else {
 		buf = append(buf, 0)
 	}
 	return buf
 }
 
-func appendBitset(buf []byte, bits []bool) []byte {
+// appendBitset packs bit(0..n-1) little-endian, eight to a byte.
+func appendBitset(buf []byte, n int, bit func(int) bool) []byte {
 	var b byte
-	for i, v := range bits {
-		if v {
+	for i := 0; i < n; i++ {
+		if bit(i) {
 			b |= 1 << (i % 8)
 		}
 		if i%8 == 7 {
@@ -123,7 +127,7 @@ func appendBitset(buf []byte, bits []bool) []byte {
 			b = 0
 		}
 	}
-	if len(bits)%8 != 0 {
+	if n%8 != 0 {
 		buf = append(buf, b)
 	}
 	return buf
