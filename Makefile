@@ -41,12 +41,13 @@ loc:
 # executor with its pooled event-queue/arena hot path, and the RCU-epoch
 # structure server whose lock-free read path only -race can vouch for, and
 # the WAL whose atomic metric mirrors are read concurrently by /metrics
-# while the single writer appends, and the replication layer whose mirror,
+# while the single writer appends, the replication layer whose mirror,
 # applier, and session state are shared between the Run loop, the stream
-# handler, and Promote.
+# handler, and Promote, and the paged topology snapshot whose pages readers
+# walk while the writer patches the next snapshot from them.
 race:
 	$(GO) test -race ./internal/runtime/... ./internal/partition/... \
-		./internal/labeling/... \
+		./internal/graph/... ./internal/labeling/... \
 		./internal/sim/... ./internal/reversal/... ./internal/distvec/... \
 		./internal/centrality/... ./internal/layering/... \
 		./internal/hypercube/... ./internal/heal/... ./internal/async/... \
@@ -61,8 +62,10 @@ race:
 # throughput under churn; the epoch ranking of 100k ER degrees on its
 # counting path and, with fractional scores, its comparison path; and the
 # whole-graph Freeze beside the server's page-shared FreezeFrom of one
-# 100-op batch on 100k and 1M ER graphs (the 'Freeze' pattern runs both,
-# here and in bench-json and bench-smoke); and the writer's whole batch path
+# 100-op batch on 100k and 1M ER graphs, plus FreezeFrom in the server's
+# ingest shape (chained 256-op batches over rows scattered by earlier ones;
+# the 'Freeze' pattern runs them all, here and in bench-json and
+# bench-smoke); and the writer's whole batch path
 # (WAL append, heal, publish) for one 100-op batch on 10k, 100k and 1M ER
 # stores, whose cost should grow with the batch, not the graph, plus one
 # 256-op batch, the ingest-sized one, on the 100k store. The

@@ -1,12 +1,15 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// pageShift fixes the page size of a PagedCSR: 64 rows per page, so a
-// 100k-node snapshot is 1,563 page pointers (12.5 KB) and a 100-op batch
-// rebuilds at most 200 of them.
+// pageShift fixes the page size of a PagedCSR: 16 rows per page, so a
+// 100k-node snapshot is 6,250 page pointers (50 KB) and a 256-op batch
+// patches at most 512 of them.
 const (
-	pageShift = 6
+	pageShift = 4
 	pageSize  = 1 << pageShift
 )
 
@@ -19,6 +22,10 @@ type page struct {
 	targets []int32
 	weights []float64
 }
+
+// emptyPage is the page of pageSize empty rows: patching every row of it
+// builds a page from the graph alone.
+var emptyPage page
 
 // PagedCSR is an immutable snapshot of a Graph's forward adjacency split
 // into fixed pages of pageSize rows. It answers N, M, Directed, Degree,
@@ -34,16 +41,18 @@ type PagedCSR struct {
 }
 
 // FreezeFrom snapshots g as a PagedCSR that shares every page of prev
-// holding no touched node. It copies prev's page pointers and rebuilds
-// each page containing a node of touched; out-of-range entries are
-// ignored. Every page is built when prev is nil or differs from g in node
-// count or directedness.
+// holding no touched node. It copies prev's page pointers and patches each
+// page containing a node of touched: the page's untouched rows are copied
+// from prev's page, and only its touched rows are read from g.
+// Out-of-range and repeated entries are ignored, and touched is not
+// modified. Every page is built from g when prev is nil or differs from g
+// in node count or directedness.
 //
-// The caller guarantees the sharing is sound: every adjacency change to g
-// since prev was taken lies on a row of some touched node. An edge
-// mutation changes the rows of its endpoints only, so passing both
-// endpoints of every mutation applied since prev suffices. Like Freeze, it
-// panics when g exceeds the int32 layout.
+// The caller guarantees both the sharing and the patching are sound:
+// every adjacency change to g since prev was taken lies on a row of some
+// touched node. An edge mutation changes the rows of its endpoints only,
+// so passing both endpoints of every mutation applied since prev suffices.
+// Like Freeze, it panics when g exceeds the int32 layout.
 func (g *Graph) FreezeFrom(prev *PagedCSR, touched []int) *PagedCSR {
 	n := len(g.adj)
 	if err := CheckCSRBounds(n, 0); err != nil {
@@ -52,42 +61,68 @@ func (g *Graph) FreezeFrom(prev *PagedCSR, touched []int) *PagedCSR {
 	p := &PagedCSR{directed: g.directed, n: n, m: g.edges, pages: make([]*page, (n+pageSize-1)>>pageShift)}
 	if prev == nil || prev.n != n || prev.directed != g.directed {
 		for i := range p.pages {
-			p.pages[i] = g.buildPage(i << pageShift)
+			p.pages[i] = g.patchPage(&emptyPage, i<<pageShift, 1<<pageSize-1)
 		}
 		return p
 	}
 	copy(p.pages, prev.pages)
+	rows := make([]int, 0, len(touched))
 	for _, v := range touched {
-		if v < 0 || v >= n {
-			continue
+		if v >= 0 && v < n {
+			rows = append(rows, v)
 		}
-		// A page still equal to prev's has not been rebuilt for this call.
-		if i := v >> pageShift; p.pages[i] == prev.pages[i] {
-			p.pages[i] = g.buildPage(i << pageShift)
+	}
+	slices.Sort(rows)
+	for k := 0; k < len(rows); {
+		i := rows[k] >> pageShift
+		var mask uint64
+		for ; k < len(rows) && rows[k]>>pageShift == i; k++ {
+			mask |= 1 << (rows[k] & (pageSize - 1))
 		}
+		p.pages[i] = g.patchPage(prev.pages[i], i<<pageShift, mask)
 	}
 	return p
 }
 
-// buildPage lays out the page whose first row is node lo.
-func (g *Graph) buildPage(lo int) *page {
+// patchPage lays out the page whose first row is node lo: bit i of mask
+// selects row lo+i to be read from g, and every other row is copied from
+// old, the page that held the same rows before, one copy per run of
+// unselected rows.
+func (g *Graph) patchPage(old *page, lo int, mask uint64) *page {
 	rows := g.adj[lo:min(lo+pageSize, len(g.adj))]
-	half := 0
-	for _, lst := range rows {
-		half += len(lst)
+	half := int(old.off[pageSize])
+	for i, lst := range rows {
+		if mask>>i&1 == 1 {
+			half += len(lst) - int(old.off[i+1]-old.off[i])
+		}
 	}
 	if err := CheckCSRBounds(0, half); err != nil {
 		panic(fmt.Sprintf("graph: cannot freeze to CSR: %v", err))
 	}
 	pg := &page{targets: make([]int32, half), weights: make([]float64, half)}
 	pos := int32(0)
-	for i, lst := range rows {
+	for i := 0; i < len(rows); {
+		if mask>>i&1 == 0 {
+			j := i + 1
+			for j < len(rows) && mask>>j&1 == 0 {
+				j++
+			}
+			a, b := old.off[i], old.off[j]
+			copy(pg.targets[pos:], old.targets[a:b])
+			copy(pg.weights[pos:], old.weights[a:b])
+			for ; i < j; i++ {
+				pg.off[i] = old.off[i] - a + pos
+			}
+			pos += b - a
+			continue
+		}
 		pg.off[i] = pos
-		for _, e := range lst {
+		for _, e := range rows[i] {
 			pg.targets[pos] = int32(e.to)
 			pg.weights[pos] = e.w
 			pos++
 		}
+		i++
 	}
 	for i := len(rows); i <= pageSize; i++ {
 		pg.off[i] = pos

@@ -8,6 +8,7 @@ package bench
 
 import (
 	"fmt"
+	"math/rand"
 	stdruntime "runtime"
 	"sync"
 	"testing"
@@ -258,6 +259,27 @@ func BenchmarkFreezeER100k(b *testing.B) {
 	}
 }
 
+// churn applies one batch of ops edge mutations to g, half removes of an
+// existing edge and then half adds of a new one, at nodes drawn from r,
+// and returns touched extended by the batch's endpoints.
+func churn(g *graph.Graph, r *rand.Rand, ops int, touched []int) []int {
+	for removed := 0; removed < ops/2; {
+		if u := r.Intn(g.N()); g.Degree(u) > 0 {
+			v := g.Neighbors(u)[0]
+			g.RemoveEdge(u, v)
+			touched = append(touched, u, v)
+			removed++
+		}
+	}
+	for added := 0; added < ops-ops/2; {
+		if u, v := r.Intn(g.N()), r.Intn(g.N()); g.TryAddEdge(u, v, 1) {
+			touched = append(touched, u, v)
+			added++
+		}
+	}
+	return touched
+}
+
 // BenchmarkFreezeFrom prices the structure server's per-epoch topology
 // build: one 100-op batch (50 removes, 50 adds) is applied to an ER graph
 // of average degree 10, and each iteration takes the page-shared snapshot
@@ -265,7 +287,10 @@ func BenchmarkFreezeER100k(b *testing.B) {
 // the batch. The
 // Freeze leg is the whole-graph snapshot of the same graph, the cost the
 // paged build replaces; at a fixed batch the FreezeFrom leg should stay
-// flat from 100k to 1M nodes.
+// flat from 100k to 1M nodes. The ER100kIngest leg is the server's shape
+// under sustained ingest: the 100k graph's rows are first scattered by 300
+// 256-op batches, then each iteration applies a fresh 256-op batch,
+// untimed, and snapshots it from the previous iteration's snapshot.
 func BenchmarkFreezeFrom(b *testing.B) {
 	for _, size := range []struct {
 		name string
@@ -278,20 +303,7 @@ func BenchmarkFreezeFrom(b *testing.B) {
 	} {
 		g := size.g()
 		prev := g.FreezeFrom(nil, nil)
-		r := stats.NewRand(3)
-		touched := make([]int, 0, 200)
-		for len(touched) < 100 {
-			if u := r.Intn(g.N()); g.Degree(u) > 0 {
-				v := g.Neighbors(u)[0]
-				g.RemoveEdge(u, v)
-				touched = append(touched, u, v)
-			}
-		}
-		for len(touched) < 200 {
-			if u, v := r.Intn(g.N()), r.Intn(g.N()); g.TryAddEdge(u, v, 1) {
-				touched = append(touched, u, v)
-			}
-		}
+		touched := churn(g, stats.NewRand(3), 100, nil)
 		b.Run(size.name+"/FreezeFrom", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -309,4 +321,22 @@ func BenchmarkFreezeFrom(b *testing.B) {
 			}
 		})
 	}
+	b.Run("ER100kIngest/FreezeFrom", func(b *testing.B) {
+		g, r := erGraph().Clone(), stats.NewRand(4)
+		for range 300 {
+			churn(g, r, 256, nil)
+		}
+		prev := g.FreezeFrom(nil, nil)
+		touched := make([]int, 0, 512)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			touched = churn(g, r, 256, touched[:0])
+			b.StartTimer()
+			if prev = g.FreezeFrom(prev, touched); prev.M() != g.M() {
+				b.Fatal("bad paged freeze")
+			}
+		}
+	})
 }

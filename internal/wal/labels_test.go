@@ -355,6 +355,45 @@ func TestLabelLagDirty(t *testing.T) {
 	}
 }
 
+// TestUnmovedLabelEpochAdvancesSeq journals a label epoch in which no
+// label moved and requires recovery to find the labels current, with no
+// dirty node, while journaling an epoch already current writes nothing.
+func TestUnmovedLabelEpochAdvancesSeq(t *testing.T) {
+	fsys := NewMemFS()
+	l, err := Create("d", ringGraph(16), Options{FS: fsys, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls := randLabels(9, 16, true)
+	if _, err := l.Append([]Record{{Type: TAddEdge, U: 0, V: 5, Weight: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendLabels(ls); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append([]Record{{Type: TAddEdge, U: 2, V: 9, Weight: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendLabelChanges(ls.Clone(), []int{2, 9}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := l.AppendLabelChanges(ls.Clone(), []int{2, 9}); n != 0 || err != nil {
+		t.Fatalf("journaling a current epoch wrote %d record(s), err %v", n, err)
+	}
+	l.Close()
+
+	_, rec, err := Open("d", Options{FS: fsys.CrashImage(0), CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Labels == nil || rec.Labels.Seq != rec.Seq || !labelsEqual(rec.Labels, readLabels(ls)) {
+		t.Fatalf("labels %+v, want the journaled epoch at seq %d", rec.Labels, rec.Seq)
+	}
+	if len(rec.Dirty) != 0 {
+		t.Fatalf("dirty %v on a label-current store", rec.Dirty)
+	}
+}
+
 // TestLabelsNeverAheadOfTopology hand-builds a log whose label delta is
 // stamped past the last committed batch — the byte pattern a crash between
 // "labels computed" and "batch committed" could never produce, but damage

@@ -438,7 +438,9 @@ func (l *Log) AppendLabels(ls *LabelSet) (int, error) {
 // from the last journaled one at most at nodes — sorted, distinct and in
 // [0, cur.N()). Only those nodes are read and compared, so the cost is
 // O(len(nodes)) unless the epoch changes shape (node count, destination,
-// backbone presence), which rewrites every node. The records are the ones
+// backbone presence), which rewrites every node. An epoch in which no
+// label moved writes one empty delta that advances the journaled batch, or
+// nothing if that batch is already current. The records are the ones
 // AppendLabels writes for the same epoch. Once they are written the log
 // retains cur, not a copy, as the baseline of the next journal and the
 // label section of the next snapshot: the caller must not modify cur
@@ -451,6 +453,12 @@ func (l *Log) AppendLabelChanges(cur LabelReader, nodes []int) (int, error) {
 		return 0, err
 	}
 	deltas := diffLabels(l.labels, cur, nodes, l.seq)
+	if len(deltas) == 0 && l.labelSeq < l.seq {
+		// No label moved since the journaled epoch, which reflects an
+		// older batch: an empty route delta stamped l.seq moves the
+		// recovered epoch up to this batch and changes no label.
+		deltas = append(deltas, &LabelDelta{Kind: LabelRoute, Seq: l.seq, N: uint32(cur.N()), Dest: int32(cur.Destination())})
+	}
 	if len(deltas) > 0 {
 		buf := l.buf[:0]
 		for _, d := range deltas {
