@@ -150,15 +150,19 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMirrorOpen -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzHandlers -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzRanking -fuzztime 10s ./internal/centrality/
+	$(GO) test -run '^$$' -fuzz FuzzExactDetection -fuzztime 10s ./internal/heal/
 
-# Supervised MIS and distance vectors must each survive 200 rounds of
-# add/remove churn with zero standing violations; the heal subcommand exits
-# nonzero otherwise. Both engines verify a repair only where it moved
-# labels, so these runs also exercise the narrowed verify under escalation.
+# Supervised MIS, distance vectors and safety levels must each survive 200
+# rounds of add/remove churn with zero standing violations; the heal
+# subcommand exits nonzero otherwise. Each engine detects and verifies only
+# where a batch or a repair changed a rule's inputs, so these runs also
+# exercise the exact recheck sets under escalation.
 heal-smoke:
 	$(GO) run ./cmd/structura heal -engine mis -seed 1 -rounds 200 \
 		-churn-add 1 -churn-remove 1 -max-touched 12
 	$(GO) run ./cmd/structura heal -engine distvec -seed 1 -rounds 200 \
+		-churn-add 1 -churn-remove 1 -max-touched 12
+	$(GO) run ./cmd/structura heal -engine hypercube -seed 1 -rounds 200 \
 		-churn-add 1 -churn-remove 1 -max-touched 12
 
 # The async executor must reproduce the synchronous outcome on a confluent

@@ -30,8 +30,7 @@ type Maintainer struct {
 	next []int     // next hop toward dest; -1 at dest and when unreachable
 
 	// Scratch node sets of the repair loop and the detector, reused across
-	// calls: frontier and touched belong to Repair, seen to
-	// InconsistentNear.
+	// calls: frontier and touched belong to Repair, seen to Inconsistent.
 	frontier, touched, seen graph.Marks
 }
 
@@ -112,18 +111,25 @@ func (m *Maintainer) Route(v int) (float64, int) { return m.dist[v], m.next[v] }
 // an edge that is present again (removed and re-added within one batch)
 // poisons nothing. Labels are otherwise left alone: detection and repair
 // are the supervisor's moves, seeded from u and v.
-func (m *Maintainer) EdgeRemoved(u, v int) {
+//
+// It reports which endpoints it poisoned. A poisoned endpoint's neighbors
+// read its changed label, so besides the endpoints they are the only nodes
+// whose detector verdict the removal can move.
+func (m *Maintainer) EdgeRemoved(u, v int) (uPoisoned, vPoisoned bool) {
 	if u < 0 || u >= m.g.N() || v < 0 || v >= m.g.N() || m.g.HasEdge(u, v) {
-		return
+		return false, false
 	}
 	if m.next[u] == v {
 		m.dist[u] = math.Inf(1)
 		m.next[u] = -1
+		uPoisoned = true
 	}
 	if m.next[v] == u {
 		m.dist[v] = math.Inf(1)
 		m.next[v] = -1
+		vPoisoned = true
 	}
+	return uPoisoned, vPoisoned
 }
 
 // offer is the label neighbor w advertises to x under split horizon with
@@ -138,7 +144,7 @@ func (m *Maintainer) offer(w, x int) float64 {
 
 // rule computes x's (label, next hop) pair from its neighbors' poisoned
 // advertisements under the hop ceiling — what settle assigns and
-// InconsistentNear checks against. Among equally close neighbors the lowest
+// Inconsistent checks against. Among equally close neighbors the lowest
 // ID wins, so the fixed point is a function of the edge set alone: a graph
 // rebuilt from its edges (a snapshot, a reopen) lists a row's neighbors in
 // another order, and a row-order tie-break would leave the recovered labels
@@ -169,31 +175,26 @@ func (m *Maintainer) settle(x int) bool {
 	return true
 }
 
-// InconsistentNear returns, among the given nodes and all their neighbors,
-// those whose (label, next hop) pair disagrees with rule, sorted — the
-// local detector. Pass an event's endpoints: poisoning an endpoint changes
-// the offers its neighbors see, so they are candidates too. Checking the
-// next hop, not just the label, is what makes the detector complete: a
-// node can hold a correct label while its stale next hop still points
-// into a poisoned region, and that stale pointer poisons the node's own
-// advertisement back into the region, hiding a real route behind a
-// value-only check. At the (dist, next) fixed point every hop chain
-// descends by one to the destination, so labels equal BFS hop counts and
-// local consistency everywhere is global correctness.
-func (m *Maintainer) InconsistentNear(nodes []int) []int {
+// Inconsistent returns, among the given nodes, those whose (label, next
+// hop) pair disagrees with rule, sorted — the local detector. It judges
+// exactly the nodes given (out-of-range ones and repeats are skipped):
+// the caller names every node whose rule may read something that changed,
+// which for an edge removal includes the neighbors of each endpoint
+// EdgeRemoved poisoned. Checking the next hop, not just the label, is what
+// makes the detector complete: a node can hold a correct label while its
+// stale next hop still points into a poisoned region, and that stale
+// pointer poisons the node's own advertisement back into the region,
+// hiding a real route behind a value-only check. At the (dist, next) fixed
+// point every hop chain descends by one to the destination, so labels
+// equal BFS hop counts and local consistency everywhere is global
+// correctness.
+func (m *Maintainer) Inconsistent(nodes []int) []int {
 	var out []int
 	m.seen.Reset(m.g.N())
-	check := func(x int, _ float64) {
-		if m.seen.Add(x) && !m.consistent(x) {
+	for _, x := range nodes {
+		if x >= 0 && x < m.g.N() && m.seen.Add(x) && !m.consistent(x) {
 			out = append(out, x)
 		}
-	}
-	for _, v := range nodes {
-		if v < 0 || v >= m.g.N() {
-			continue
-		}
-		check(v, 0)
-		m.g.EachNeighbor(v, check)
 	}
 	sort.Ints(out)
 	return out

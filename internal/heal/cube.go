@@ -22,27 +22,33 @@ type cubeEngine struct {
 
 func newCubeEngine(seed uint64) (*cubeEngine, error) {
 	cube := sim.FaultyCube(seed)
-	g := cube.Graph()
-	n := g.N()
-	faulty := make([]bool, n)
-	for v := 0; v < n; v++ {
+	faulty := make([]bool, cube.N())
+	for v := range faulty {
 		faulty[v] = cube.Faulty(v)
 	}
-	levels := make([]int, n)
-	hypercube.RecomputeLevels(g, levels, faulty, cube.Dim())
-	return &cubeEngine{g: g, faulty: faulty, levels: levels, dim: cube.Dim()}, nil
+	return newCubeEngineOver(cube.Graph(), faulty, cube.Dim()), nil
+}
+
+// newCubeEngineOver maintains dimension-dim safety levels over g (retained
+// and only read), starting from the from-the-top recompute.
+func newCubeEngineOver(g *graph.Graph, faulty []bool, dim int) *cubeEngine {
+	levels := make([]int, g.N())
+	hypercube.RecomputeLevels(g, levels, faulty, dim)
+	return &cubeEngine{g: g, faulty: faulty, levels: levels, dim: dim}
 }
 
 func (e *cubeEngine) Name() string       { return "hypercube" }
 func (e *cubeEngine) Live() *graph.Graph { return e.g }
 
+// Apply moves no level, so only the endpoints, whose rows changed, can
+// have a new verdict.
 func (e *cubeEngine) Apply(ev sim.Event) ([]int, bool) { return edgeEndpoints(ev) }
 
 func (e *cubeEngine) CheckLocal(dirty []int) []sim.Violation {
 	if len(dirty) == 0 {
 		return nil
 	}
-	bad := hypercube.InconsistentLevels(e.g, e.levels, e.faulty, e.dim, expandNeighbors(e.g, dirty))
+	bad := hypercube.InconsistentLevels(e.g, e.levels, e.faulty, e.dim, dirty)
 	out := make([]sim.Violation, 0, len(bad))
 	for _, v := range bad {
 		out = append(out, sim.Violation{
@@ -53,10 +59,17 @@ func (e *cubeEngine) CheckLocal(dirty []int) []sim.Violation {
 	return out
 }
 
+// Repair relaxes from the violated nodes and asks to be verified on the
+// seeds and the closed neighborhoods of the nodes it touched: a node's
+// rule reads its neighbors' levels, and a level moves only within Touched.
 func (e *cubeEngine) Repair(viols []sim.Violation, b Budget) RepairOutcome {
+	seeds := violationNodes(viols)
 	touched, rounds, ok := hypercube.RelaxLevels(e.g, e.levels, e.faulty, e.dim,
-		violationNodes(viols), b.MaxRounds, b.MaxTouched)
-	return RepairOutcome{Touched: touched, Rounds: rounds, OK: ok}
+		seeds, b.MaxRounds, b.MaxTouched)
+	return RepairOutcome{
+		Touched: touched, Rounds: rounds, OK: ok,
+		Recheck: appendClosedNeighborhoods(e.g, seeds, touched...),
+	}
 }
 
 func (e *cubeEngine) Recompute() (int, error) {

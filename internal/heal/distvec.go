@@ -10,9 +10,11 @@ import (
 // distvecEngine supervises the distance-vector labels toward destination 0
 // via the distvec.Maintainer: split-horizon/poisoned-reverse advertisements
 // with a hop ceiling. Local consistency is a complete detector (the global
-// fixed point equals BFS hop counts), and the candidate set must include
-// the dirtied nodes' neighbors: poisoning an endpoint changes the offers
-// its neighbors see.
+// fixed point equals BFS hop counts). rule(x) reads x's row and its
+// neighbors' (dist, next), so an event moves the verdict of its endpoints,
+// whose rows changed, and of the neighbors of an endpoint it poisoned,
+// whose offers changed: Apply names exactly those, and Repair names the
+// seeds and the closed neighborhoods of the nodes it moved.
 type distvecEngine struct {
 	g *graph.Graph // the support the maintainer reads
 	m *distvec.Maintainer
@@ -54,17 +56,27 @@ func (e *distvecEngine) Name() string       { return "distvec" }
 func (e *distvecEngine) Live() *graph.Graph { return e.g }
 
 func (e *distvecEngine) Apply(ev sim.Event) ([]int, bool) {
+	dirty, applied := edgeEndpoints(ev)
 	if ev.Op == sim.OpRemoveEdge {
-		e.m.EdgeRemoved(ev.U, ev.V)
+		// Neighbors are read from the post-batch graph: a neighbor that lost
+		// or gained its edge to the endpoint in the same batch is an
+		// endpoint of that event and named by it.
+		pu, pv := e.m.EdgeRemoved(ev.U, ev.V)
+		if pu {
+			dirty = appendClosedNeighborhoods(e.g, dirty, ev.U)
+		}
+		if pv {
+			dirty = appendClosedNeighborhoods(e.g, dirty, ev.V)
+		}
 	}
-	return edgeEndpoints(ev)
+	return dirty, applied
 }
 
 func (e *distvecEngine) CheckLocal(dirty []int) []sim.Violation {
 	if len(dirty) == 0 {
 		return nil
 	}
-	bad := e.m.InconsistentNear(dirty)
+	bad := e.m.Inconsistent(dirty)
 	out := make([]sim.Violation, 0, len(bad))
 	for _, v := range bad {
 		out = append(out, sim.Violation{
@@ -76,11 +88,11 @@ func (e *distvecEngine) CheckLocal(dirty []int) []sim.Violation {
 }
 
 // Repair relaxes from the violated nodes and asks to be verified on the
-// seeds and the nodes it moved; CheckLocal expands those to their
-// neighbors. That is exact: rule(x) reads only x's row and its neighbors'
-// labels, the topology stands still while a batch heals, and detection
-// judged every node the dirty set reaches, so a node's verdict can differ
-// from detection's only if it was a seed or a neighbor of a moved node.
+// seeds and the closed neighborhoods of the nodes it moved. That is exact:
+// rule(x) reads only x's row and its neighbors' labels, the topology stands
+// still while a batch heals, and detection judged every node whose verdict
+// the batch moved, so a node's verdict can differ from detection's only if
+// it was a seed, moved, or neighbors a moved node.
 func (e *distvecEngine) Repair(viols []sim.Violation, b Budget) RepairOutcome {
 	// A ctx error surfaces as !OK; the Supervisor re-checks its own context
 	// after Repair and aborts instead of escalating.
@@ -88,7 +100,7 @@ func (e *distvecEngine) Repair(viols []sim.Violation, b Budget) RepairOutcome {
 	res, _ := e.m.Repair(b.Ctx, seeds, b.MaxRounds, b.MaxTouched)
 	return RepairOutcome{
 		Touched: res.Touched, Rounds: res.Rounds, OK: res.OK,
-		Recheck: append(seeds, res.Moved...),
+		Recheck: appendClosedNeighborhoods(e.g, seeds, res.Moved...),
 	}
 }
 

@@ -8,9 +8,10 @@
 // theory (Casteigts et al.), a Supervisor runs the detect → repair →
 // escalate state machine against a sim fault timeline:
 //
-//	detect   — cheap local checks on the nodes each churn event dirtied
-//	           (complete for edge churn: an edge flip can only invalidate
-//	           its endpoints' local rules), plus periodic full sweeps of
+//	detect   — cheap local checks on exactly the nodes whose rule inputs
+//	           each churn event changed (complete for edge churn: an edge
+//	           flip changes only its endpoints' rows, plus whatever labels
+//	           the engine moves on notice), plus periodic full sweeps of
 //	           the sim invariant registry as a safety net;
 //	repair   — an engine-specific localized fix confined to the violated
 //	           neighborhood, under an explicit Budget (max repair rounds,
@@ -75,12 +76,15 @@ type RepairOutcome struct {
 
 	// Recheck names the nodes the supervisor's verify passes to CheckLocal
 	// after an OK repair: every node whose detector verdict the repair may
-	// have changed. Nil means Touched plus the batch's dirty set, which is
-	// exact for any engine with a complete detector. An engine narrows it
-	// only with a written argument: detection already judged every node
-	// its dirty set reaches, and every violation became a seed, so only
-	// the seeds and the nodes whose rule reads a label the repair changed
-	// can have a new verdict.
+	// have changed. Detection judged every node whose verdict the batch
+	// moved, and every violation became a seed, so only the seeds and the
+	// nodes whose rule reads a label the repair changed can have a new
+	// verdict. An engine whose rule reads its neighbors' labels names that
+	// closure itself (distvec: seeds ∪ N[moved]; hypercube: seeds ∪
+	// N[Touched]). Nil means Touched plus the batch's dirty set, for
+	// engines whose repair re-judges what it moves before it stops (cds
+	// checks each removal against the whole CDS property, reversal runs
+	// until no sink is left).
 	Recheck []int
 }
 
@@ -109,21 +113,26 @@ type Engine interface {
 	// only reads it.
 	Live() *graph.Graph
 
-	// Apply notifies the engine of one event and returns the nodes whose
-	// local rules it may have invalidated, plus whether the engine took
-	// note of it. An edge event has already been applied to Live() — when
-	// a batch is notified, the whole batch has — so the engine updates
-	// only its own labels and judges against the topology as it stands
-	// now. An edge event the acceptance rule rejected may be notified too
-	// and must leave correct labels correct. Events that change no
-	// topology (crash, skip, drop) are for engines that model them; the
-	// others report false.
+	// Apply notifies the engine of one event and returns exactly the nodes
+	// whose detector verdict the event may have changed, plus whether the
+	// engine took note of it: the endpoints, whose rows changed, and every
+	// node whose rule reads a label Apply moved (the distvec engine adds
+	// the neighbors of an endpoint it poisoned). An edge event has already
+	// been applied to Live() — when a batch is notified, the whole batch
+	// has — so the engine updates only its own labels and judges against
+	// the topology as it stands now. An edge event the acceptance rule
+	// rejected may be notified too and must leave correct labels correct.
+	// Events that change no topology (crash, skip, drop) are for engines
+	// that model them; the others report false.
 	Apply(e sim.Event) (dirty []int, applied bool)
 
-	// CheckLocal runs the engine's local detector over the dirtied nodes
-	// (expanding to neighbors as the engine's rule requires) and returns
-	// the violations found. For edge churn these detectors are complete:
-	// no violation exists unless one is rooted at a dirtied node.
+	// CheckLocal judges exactly the given nodes by the engine's local
+	// rule (repeats and out-of-range nodes are skipped) and returns the
+	// violations among them. That is complete for edge churn: every node
+	// satisfied its rule before the batch (Recompute and a verified heal
+	// leave it so, and a warm start's labels were published that way), and
+	// the sets Apply and Repair return hold every node whose rule inputs
+	// moved since, so no violation exists outside them.
 	CheckLocal(dirty []int) []sim.Violation
 
 	// Repair attempts a localized fix for the violations under the budget,
@@ -305,7 +314,9 @@ func (s *Supervisor) Run(seed uint64, sch sim.Schedule) (*Report, error) {
 		}
 		// An incident that survives repair AND recompute (a partitioned
 		// support) stays pending: it is retried every following round, so a
-		// reconnecting edge heals it without waiting for a sweep.
+		// reconnecting edge heals it without waiting for a sweep. The
+		// distvec and hypercube recomputes cannot fail, so for them pending
+		// stays empty and dirty holds only what Apply returned.
 		left, _, rerr := s.resolve(rep, viols, dirty)
 		if rerr != nil {
 			return rep, rerr
@@ -458,26 +469,19 @@ func (s *Supervisor) sweep() []sim.Violation {
 	return out
 }
 
-// expandNeighbors returns the distinct valid nodes of `nodes` plus all their
-// neighbors, sorted — the candidate set for the hypercube detector, whose
-// rule reads the neighbors' labels, so a label change at v can make v's
-// neighbors inconsistent too. (The distvec maintainer expands its own
-// candidates over reusable marks.)
-func expandNeighbors(g *graph.Graph, nodes []int) []int {
-	set := map[int]bool{}
+// appendClosedNeighborhoods appends every valid node of nodes and all its
+// neighbors to dst, repeats kept (the detectors skip them): the recheck set
+// of a node whose label moved, for an engine whose rule reads its
+// neighbors' labels.
+func appendClosedNeighborhoods(g *graph.Graph, dst []int, nodes ...int) []int {
 	for _, v := range nodes {
 		if v < 0 || v >= g.N() {
 			continue
 		}
-		set[v] = true
-		g.EachNeighbor(v, func(w int, _ float64) { set[w] = true })
+		dst = append(dst, v)
+		g.EachNeighbor(v, func(w int, _ float64) { dst = append(dst, w) })
 	}
-	out := make([]int, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
+	return dst
 }
 
 // edgeEndpoints is the notification half of an edge event for engines

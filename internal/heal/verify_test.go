@@ -3,6 +3,7 @@ package heal
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"structura/internal/gen"
@@ -12,16 +13,23 @@ import (
 
 // recordingEngine records what the supervisor asks of an engine during one
 // heal: every CheckLocal input (the first is detection's dirty set) and
-// every repair outcome.
+// every repair outcome. It also runs the neighborhood oracle beside every
+// CheckLocal and keeps the first disagreement.
 type recordingEngine struct {
 	Engine
-	checks [][]int
-	outs   []RepairOutcome
+	checks   [][]int
+	outs     []RepairOutcome
+	mismatch string
 }
 
 func (r *recordingEngine) CheckLocal(dirty []int) []sim.Violation {
 	r.checks = append(r.checks, append([]int(nil), dirty...))
-	return r.Engine.CheckLocal(dirty)
+	got := r.Engine.CheckLocal(dirty)
+	if want := nearDetect(r.Engine, dirty); r.mismatch == "" && !sameViolations(got, want) {
+		r.mismatch = fmt.Sprintf("check %d over %d node(s): exact detector found %d violation(s), N[dirty] oracle %d",
+			len(r.checks), len(dirty), len(got), len(want))
+	}
+	return got
 }
 
 func (r *recordingEngine) Repair(viols []sim.Violation, b Budget) RepairOutcome {
@@ -30,14 +38,36 @@ func (r *recordingEngine) Repair(viols []sim.Violation, b Budget) RepairOutcome 
 	return out
 }
 
-func (r *recordingEngine) reset() { r.checks, r.outs = nil, nil }
+func (r *recordingEngine) reset() { r.checks, r.outs, r.mismatch = nil, nil, "" }
 
-// fullVerify is the default verify: the detector over everything the
-// repair touched plus the whole dirty set, exact for any engine with a
-// complete detector. It is the oracle a narrowed recheck set must agree
-// with.
+// nearDetect is the detector judged over the closed neighborhoods of the
+// given nodes, the blanket expansion detection used before Apply and Repair
+// named exact sets. A node outside an exact set has the verdict it had
+// before the batch, which was clean, so on a correct engine both find the
+// same violations.
+func nearDetect(eng Engine, nodes []int) []sim.Violation {
+	return eng.CheckLocal(appendClosedNeighborhoods(eng.Live(), nil, nodes...))
+}
+
+// sameViolations compares two violation lists as sets.
+func sameViolations(a, b []sim.Violation) bool {
+	key := func(vs []sim.Violation) []string {
+		out := make([]string, len(vs))
+		for i, v := range vs {
+			out[i] = v.String()
+		}
+		slices.Sort(out)
+		return out
+	}
+	return slices.Equal(key(a), key(b))
+}
+
+// fullVerify is the widest verify: the detector over the closed
+// neighborhoods of everything the repair touched and the whole dirty set.
+// It does its own expansion, because CheckLocal judges only what it is
+// given. It is the oracle a narrowed recheck set must agree with.
 func fullVerify(eng Engine, out RepairOutcome, dirty []int) []sim.Violation {
-	return eng.CheckLocal(append(append([]int(nil), out.Touched...), dirty...))
+	return nearDetect(eng, append(append([]int(nil), out.Touched...), dirty...))
 }
 
 // verifyCase is one graph family under one churn shape.
@@ -79,13 +109,17 @@ func churnBatch(r *rand.Rand, g *graph.Graph, removes, adds int, readd bool) []s
 	return out
 }
 
-// checkHeal judges one finished heal: after every OK repair that counted,
-// the full-width verify and the invariant sweep both find nothing; the
+// checkHeal judges one finished heal: every CheckLocal agreed with the
+// neighborhood oracle; after every OK repair that counted, the full-width
+// verify and the invariant sweep both find nothing; the
 // distance-vector labels equal a fresh rebuild's, next hops included,
 // because the fixed point is a function of the edge set. It returns the
 // heal's escalations.
 func checkHeal(t *testing.T, sup *Supervisor, rec *recordingEngine, rep *Report) int {
 	t.Helper()
+	if rec.mismatch != "" {
+		t.Fatal(rec.mismatch)
+	}
 	if len(rep.Standing) != 0 {
 		t.Fatalf("%d standing violation(s), first %s", len(rep.Standing), rep.Standing[0])
 	}
@@ -123,6 +157,8 @@ func newVerifyEngine(t *testing.T, name string, g *graph.Graph) Engine {
 		eng, err = newDistVecEngineOver(g, 0)
 	case "mis":
 		eng, err = newMISEngineOver(g)
+	case "hypercube":
+		eng = newCubeEngineOver(g, everyKth(g.N(), 9), 5)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -130,13 +166,25 @@ func newVerifyEngine(t *testing.T, name string, g *graph.Graph) Engine {
 	return eng
 }
 
-// TestVerifyOnlyWhereRepairMoved drives the distance-vector and MIS engines
-// — the two whose repairs name a recheck set narrower than Touched plus the
-// dirty set — through seeded churn on ER and chorded-ring graphs and checks
-// every successful repair against the full-width verify and the invariant
-// sweep. Unbounded budgets must never escalate: a correct repair that
-// drains its frontier always verifies, so an escalation there means the
-// verify caught a repair that left a violation behind.
+// everyKth marks every k-th of n nodes, starting at node k-1: the faulty
+// nodes of a safety-level engine over a graph that is not a cube.
+func everyKth(n, k int) []bool {
+	out := make([]bool, n)
+	for v := k - 1; v < n; v += k {
+		out[v] = true
+	}
+	return out
+}
+
+// TestVerifyOnlyWhereRepairMoved drives the distance-vector, MIS and
+// hypercube engines — the ones whose Apply or Repair names a set other than
+// Touched plus the dirty set — through seeded churn on ER and chorded-ring
+// graphs. Every detection and verify must find what the detector finds over
+// the closed neighborhoods of its input, and every successful repair must
+// pass the full-width verify and the invariant sweep. Unbounded budgets
+// must never escalate: a correct repair that drains its frontier always
+// verifies, so an escalation there means the verify caught a repair that
+// left a violation behind.
 func TestVerifyOnlyWhereRepairMoved(t *testing.T) {
 	cases := []verifyCase{
 		{name: "er", graph: erGraph},
@@ -146,7 +194,7 @@ func TestVerifyOnlyWhereRepairMoved(t *testing.T) {
 		{name: "er-escalate", graph: erGraph, budget: Budget{MaxTouched: 4}},
 		{name: "ring-escalate", graph: chordedRing, budget: Budget{MaxRounds: 2}},
 	}
-	for _, name := range []string{"distvec", "mis"} {
+	for _, name := range []string{"distvec", "mis", "hypercube"} {
 		for _, c := range cases {
 			t.Run(name+"/"+c.name, func(t *testing.T) {
 				escalations, repairs := 0, 0
@@ -189,7 +237,7 @@ func TestVerifyOnlyWhereRepairMoved(t *testing.T) {
 // topology and healed through HealDirty on the flips' endpoints, as a
 // recovering server does.
 func TestVerifyAfterWarmStart(t *testing.T) {
-	for _, name := range []string{"distvec", "mis"} {
+	for _, name := range []string{"distvec", "mis", "hypercube"} {
 		for _, c := range []verifyCase{{name: "er", graph: erGraph}, {name: "ring", graph: chordedRing}} {
 			t.Run(fmt.Sprintf("%s/%s", name, c.name), func(t *testing.T) {
 				for seed := int64(1); seed <= 3; seed++ {
@@ -212,6 +260,8 @@ func TestVerifyAfterWarmStart(t *testing.T) {
 						warm, err = NewDistVecEngineFromLabels(g, 0, dist, next)
 					case *misEngine:
 						warm, err = NewMISEngineFromLabels(g, s.MISLabels())
+					case *cubeEngine:
+						warm = &cubeEngine{g: g, faulty: s.faulty, levels: slices.Clone(s.levels), dim: s.dim}
 					}
 					if err != nil {
 						t.Fatal(err)

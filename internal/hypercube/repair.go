@@ -29,8 +29,9 @@ func levelOn(g *graph.Graph, levels []int, dim, v int) int {
 
 // InconsistentLevels returns, among the candidate nodes, those whose level
 // violates the rule: faulty nodes must sit at 0, non-faulty nodes at the
-// footnote-3 value of their neighborhood. Pass an event's endpoints and
-// their neighbors to cover every node whose histogram the event changed.
+// footnote-3 value of their neighborhood. It judges exactly the candidates:
+// an edge event changes only its endpoints' histograms, and a level move
+// changes only its neighbors', so those are the nodes to pass.
 func InconsistentLevels(g *graph.Graph, levels []int, faulty []bool, dim int, candidates []int) []int {
 	var out []int
 	seen := make(map[int]bool, len(candidates))
