@@ -58,9 +58,9 @@ race:
 # instance under scripted churn (full vs delta mode round cost); the
 # partitioned legs of both (the same runs priced on k edge-cut shards,
 # failing unless the exchange equals the recorded trajectory); the async
-# executor priced on one full quiescence; and the structure server's query
-# throughput under churn; the epoch ranking of 100k ER degrees on its
-# counting path and, with fractional scores, its comparison path; and the
+# executor priced on one full quiescence; the epoch ranking of 100k ER
+# degrees on its counting path and, with fractional scores, its comparison
+# path; and the
 # whole-graph Freeze beside the server's page-shared FreezeFrom of one
 # 100-op batch on 100k and 1M ER graphs, plus FreezeFrom in the server's
 # ingest shape (chained 256-op batches over rows scattered by earlier ones;
@@ -68,17 +68,17 @@ race:
 # bench-smoke); and the writer's whole batch path
 # (WAL append, heal, publish) for one 100-op batch on 10k, 100k and 1M ER
 # stores, whose cost should grow with the batch, not the graph, plus one
-# 256-op batch, the ingest-sized one, on the 100k store. The
-# async, 10M-node partitioned and serve legs run one complete workload per
-# op, so they get -benchtime 1x; the ranking legs average over 20, the
-# publish legs over 200 and the other legs over 3.
+# 256-op batch, the ingest-sized one, on the 100k store. The async and
+# 10M-node partitioned legs run one complete workload per op, so they get
+# -benchtime 1x; the ranking legs average over 20, the publish legs over 200
+# and the other legs over 3. The served stack is priced over sockets by
+# perfbench, not here.
 bench:
 	$(GO) test -run '^$$' -bench 'Kernel|Freeze' -benchtime 3x ./internal/runtime/bench
 	$(GO) test -run '^$$' -bench DeltaSteady -benchtime 3x ./internal/runtime/bench
 	$(GO) test -run '^$$' -bench 'Partitioned.*100k' -benchtime 3x ./internal/runtime/bench
 	$(GO) test -run '^$$' -bench Async -benchtime 1x ./internal/runtime/bench
 	$(GO) test -run '^$$' -bench PartitionedER10M -benchtime 1x -timeout 30m ./internal/runtime/bench
-	$(GO) test -run '^$$' -bench ServeQPS -benchtime 1x ./internal/server
 	$(GO) test -run '^$$' -bench Publish -benchmem -benchtime 200x ./internal/server
 	$(GO) test -run '^$$' -bench WALIngest -benchtime 200x ./internal/wal
 	$(GO) test -run '^$$' -bench RecoveryReady -benchtime 3x ./internal/server
@@ -97,7 +97,6 @@ bench-json:
 	  $(GO) test -run '^$$' -bench 'Partitioned.*100k' -benchmem -benchtime 3x ./internal/runtime/bench ; \
 	  $(GO) test -run '^$$' -bench Async -benchmem -benchtime 1x ./internal/runtime/bench ; \
 	  $(GO) test -run '^$$' -bench PartitionedER10M -benchmem -benchtime 1x -timeout 30m ./internal/runtime/bench ; \
-	  $(GO) test -run '^$$' -bench ServeQPS -benchmem -benchtime 1x ./internal/server ; \
 	  $(GO) test -run '^$$' -bench Publish -benchmem -benchtime 200x ./internal/server ; \
 	  $(GO) test -run '^$$' -bench WALIngest -benchmem -benchtime 200x ./internal/wal ; \
 	  $(GO) test -run '^$$' -bench RecoveryReady -benchmem -benchtime 3x ./internal/server ; \
@@ -183,11 +182,12 @@ partition-smoke:
 
 # The structure server's RCU read path must stay race-clean under live epoch
 # swaps (the hammer test re-run under -race on its own, so the gate survives
-# package-list edits), and the end-to-end serving stack must come up and
-# answer a loadgen burst through the CLI.
+# package-list edits), and `structura serve` must come up on a real loopback
+# listener, answer every read endpoint and a mutation with 2xx over the
+# socket, and return cleanly when its context is cancelled.
 serve-smoke:
 	$(GO) test -race -run TestServeConcurrentReadsDuringEpochSwap ./internal/server
-	$(GO) run ./cmd/structura serve -nodes 2000 -avg-degree 8 -loadgen 20000
+	$(GO) test -race -run TestServeOverSocket ./cmd/structura
 
 # End-to-end durability: build the real binary under -race, run it with a
 # -data-dir, stream mutations, SIGKILL it mid-churn, restart, and require
@@ -197,7 +197,8 @@ wal-smoke:
 	$(GO) test -race -run 'TestWALSmokeKillRecover|TestServeLoadSaveRoundTrip' ./cmd/structura
 
 # End-to-end failover: real primary and replica processes (-race binary),
-# loadgen churn, SIGKILL the primary mid-burst, promote the replica, and
+# tracked ingest then a burst of posted mutations, SIGKILL the primary
+# mid-burst, promote the replica, and
 # require its routes to agree with BFS on the recovered committed prefix
 # with zero standing heal violations.
 replica-smoke:

@@ -19,7 +19,6 @@
 //	structura partition -nodes 1000000 -shards 8 -strategy degree-balanced
 //	structura partition -shards 4 -delta -workers 2    # priced exchange per round
 //	structura serve -nodes 100000 -addr :8372          # resident structure server
-//	structura serve -nodes 10000 -loadgen 200000       # in-process throughput smoke
 //	structura serve -data-dir p -repl-listen :9372     # primary serving the replication stream
 //	structura serve -data-dir m -replicate-from host:9372  # follower: stale-ok reads + POST /promote
 //	structura serve -data-dir m -promote               # failover takeover (fence bump)
@@ -33,10 +32,13 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"structura"
 )
@@ -71,7 +73,13 @@ func run(args []string) error {
 		return runPartition(args[1:], os.Stdout)
 	}
 	if len(args) > 0 && args[0] == "serve" {
-		return runServe(args[1:], os.Stdout)
+		// The one stop signal: SIGINT or SIGTERM shuts a server down cleanly,
+		// and a second one gets the default behaviour and exits at once. Only
+		// serve installs it, so Ctrl-C still ends every other subcommand.
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		context.AfterFunc(ctx, stop)
+		return runServe(ctx, args[1:], os.Stdout)
 	}
 	if len(args) > 0 && args[0] == "replicate" {
 		return runReplicate(args[1:], os.Stdout)

@@ -9,9 +9,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"structura/internal/replica"
@@ -23,7 +20,8 @@ import (
 // degraded stale-ok reads (plus POST /promote for failover) on addr. The
 // process keeps serving its mirrored state even when the primary dies or
 // turns out to be deposed — that is exactly when an operator promotes it.
-func runReplicaServe(addr, dir, from string, opts replica.Options, out io.Writer) error {
+// It serves until ctx is cancelled.
+func runReplicaServe(ctx context.Context, addr, dir, from string, opts replica.Options, out io.Writer) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -32,6 +30,7 @@ func runReplicaServe(addr, dir, from string, opts replica.Options, out io.Writer
 
 	r, err := replica.New(dir, from, opts)
 	if err != nil {
+		ln.Close()
 		return err
 	}
 	httpSrv := newHTTPServer(r.Handler())
@@ -42,8 +41,6 @@ func runReplicaServe(addr, dir, from string, opts replica.Options, out io.Writer
 	runErr := make(chan error, 1)
 	go func() { runErr <- r.Run() }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	for {
 		select {
 		case err := <-httpErr:

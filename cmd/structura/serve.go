@@ -8,9 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
+	"sync"
 	"time"
 
 	"structura/internal/gen"
@@ -52,21 +50,20 @@ func newHTTPServer(h http.Handler) *http.Server {
 }
 
 // runServe is the `structura serve` subcommand: stand up the resident
-// structure server over a generated or loaded topology and either listen on
-// -addr or, with -loadgen N, drive N in-process queries through the full
-// serving stack and report throughput — the self-contained smoke mode the
-// Makefile gates on. With -data-dir every mutation batch is journaled to a
-// write-ahead log before it is applied, and a restart recovers the last
-// committed state; the listener binds before recovery starts, answering 503
-// on every path until replay completes.
-func runServe(args []string, out io.Writer) error {
+// structure server over a generated or loaded topology, listen on -addr,
+// and serve until ctx is cancelled. With -data-dir every mutation batch is
+// journaled to a write-ahead log before it is applied, and a restart
+// recovers the last committed state; the listener binds before recovery
+// starts, answering 503 on every path until replay completes. Whatever the
+// run acquired is released on every return, an error return included.
+func runServe(ctx context.Context, args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("structura serve", flag.ContinueOnError)
 	var (
 		nodes      = fs.Int("nodes", 10000, "nodes in the generated ER topology")
 		avgDeg     = fs.Float64("avg-degree", 8, "average degree of the topology")
 		seed       = fs.Int64("seed", 1, "deterministic topology seed")
 		dest       = fs.Int("dest", 0, "destination node the route labels point toward")
-		addr       = fs.String("addr", ":8372", "listen address (ignored with -loadgen)")
+		addr       = fs.String("addr", ":8372", "listen address")
 		cds        = fs.Bool("cds", false, "maintain the CDS backbone (needs a connected graph; slow to build on large ones)")
 		inflight   = fs.Int("max-inflight", 0, "concurrent query cap before 429 shed (0 = default)")
 		queue      = fs.Int("queue", 0, "mutation queue depth (0 = default)")
@@ -74,9 +71,6 @@ func runServe(args []string, out io.Writer) error {
 		maxK       = fs.Int("max-k", 0, "largest k accepted by /khop (0 = default)")
 		maxRounds  = fs.Int("max-rounds", 0, "repair budget: max localized repair sweeps (0 = unbounded)")
 		maxTouched = fs.Int("max-touched", 0, "repair budget: max nodes one repair may touch (0 = unbounded)")
-		loadN      = fs.Int("loadgen", 0, "run N in-process queries instead of listening, then exit")
-		loadSeed   = fs.Uint64("loadgen-seed", 42, "deterministic loadgen query-stream seed")
-		workers    = fs.Int("loadgen-workers", 0, "loadgen worker goroutines (0 = GOMAXPROCS)")
 
 		dataDir  = fs.String("data-dir", "", "WAL store directory: journal mutations and recover on restart")
 		fsyncPol = fs.String("fsync", "batch", "WAL fsync policy: batch | interval | none")
@@ -98,6 +92,9 @@ func runServe(args []string, out io.Writer) error {
 	if *replFrom != "" && (*promote || *replListen != "") {
 		return fmt.Errorf("-replicate-from runs a follower; it cannot combine with -promote or -repl-listen (promote a running replica via POST /promote)")
 	}
+	if *loadFile == "" && *nodes < 2 {
+		return fmt.Errorf("need at least 2 nodes, got %d", *nodes)
+	}
 
 	var syncPolicy wal.SyncPolicy
 	switch *fsyncPol {
@@ -113,38 +110,83 @@ func runServe(args []string, out io.Writer) error {
 	walOpts := wal.Options{Sync: syncPolicy, SyncEvery: *syncEvr, CompactEvery: *compact}
 
 	if *replFrom != "" {
-		return runReplicaServe(*addr, *dataDir, *replFrom, replica.Options{
+		return runReplicaServe(ctx, *addr, *dataDir, *replFrom, replica.Options{
 			WAL: walOpts, Dest: *dest, SkipCDS: !*cds,
 		}, out)
 	}
 
-	// In listen mode, bind before the (possibly slow) recovery so the port
-	// is reachable immediately; the gate answers 503 until the server is up.
-	gate := server.NewGate()
-	var httpSrv *http.Server
-	errCh := make(chan error, 1)
-	if *loadN == 0 {
-		ln, err := net.Listen("tcp", *addr)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "listening on %s\n", ln.Addr())
-		httpSrv = newHTTPServer(gate)
-		go func() { errCh <- httpSrv.Serve(ln) }()
+	// Bind before the (possibly slow) recovery so the port is reachable
+	// immediately; the gate answers 503 until the server is up.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
 	}
+	fmt.Fprintf(out, "listening on %s\n", ln.Addr())
+	gate := server.NewGate()
+	httpSrv := newHTTPServer(gate)
+	errCh := make(chan error, 1)
+	var serving sync.WaitGroup
+	serving.Add(1)
+	go func() {
+		defer serving.Done()
+		errCh <- httpSrv.Serve(ln)
+	}()
+
+	// The one release path, in reverse order of acquisition. The first error
+	// wins; -save runs only after a clean stop, once the writer has exited.
+	// Serve closes the listener on its way out, so the path waits for it: a
+	// Shutdown that lands before Serve starts closes nothing itself.
+	var (
+		wlog *wal.Log
+		srv  *server.Server
+		repl *replica.Primary
+	)
+	defer func() {
+		sdCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		keep := func(e error) {
+			if err == nil {
+				err = e
+			}
+		}
+		if repl != nil {
+			repl.Close()
+		}
+		var serr error
+		if srv != nil {
+			serr = srv.Shutdown(sdCtx)
+		}
+		switch {
+		case serr != nil:
+			// The writer may still be appending, so the log stays open.
+			keep(fmt.Errorf("server shutdown: %w", serr))
+		case wlog != nil:
+			if cerr := wlog.Close(); cerr != nil {
+				keep(fmt.Errorf("wal close: %w", cerr))
+			}
+		}
+		if err == nil && *saveFile != "" {
+			final := frozenToGraph(srv.Epoch().Topo)
+			if serr := wal.SaveGraph(*saveFile, final); serr != nil {
+				keep(fmt.Errorf("-save %s: %w", *saveFile, serr))
+			} else {
+				fmt.Fprintf(out, "saved %d node(s), %d edge(s) to %s\n", final.N(), final.M(), *saveFile)
+			}
+		}
+		if herr := httpSrv.Shutdown(sdCtx); herr != nil && !errors.Is(herr, http.ErrServerClosed) {
+			keep(fmt.Errorf("http shutdown: %w", herr))
+		}
+		serving.Wait()
+	}()
 
 	// Boot topology: snapshot file, else generated ER.
 	var g *graph.Graph
 	if *loadFile != "" {
-		var err error
 		if g, err = wal.LoadGraph(*loadFile); err != nil {
 			return fmt.Errorf("-load %s: %w", *loadFile, err)
 		}
 		fmt.Fprintf(out, "loaded %d node(s), %d edge(s) from %s\n", g.N(), g.M(), *loadFile)
 	} else {
-		if *nodes < 2 {
-			return fmt.Errorf("need at least 2 nodes, got %d", *nodes)
-		}
 		g = gen.SparseErdosRenyi(stats.NewRand(*seed), *nodes, *avgDeg/float64(*nodes-1))
 	}
 
@@ -156,7 +198,6 @@ func runServe(args []string, out io.Writer) error {
 		MaxInFlight: *inflight, QueueDepth: *queue, BatchMax: *batchMax, MaxK: *maxK,
 		RepairBudget: heal.Budget{MaxRounds: *maxRounds, MaxTouched: *maxTouched},
 	}
-	var wlog *wal.Log
 	if *dataDir != "" && *promote {
 		l, rec, err := wal.Promote(*dataDir, walOpts)
 		if err != nil {
@@ -188,8 +229,7 @@ func runServe(args []string, out io.Writer) error {
 		}
 	}
 
-	srv, err := server.New(g, cfg)
-	if err != nil {
+	if srv, err = server.New(g, cfg); err != nil {
 		return err
 	}
 	if cfg.Recovered != nil {
@@ -207,10 +247,8 @@ func runServe(args []string, out io.Writer) error {
 			time.Duration(readyNs).Round(time.Microsecond))
 	}
 
-	var repl *replica.Primary
 	if *replListen != "" {
-		repl, err = replica.NewPrimary(wlog, *replListen, replica.PrimaryOptions{})
-		if err != nil {
+		if repl, err = replica.NewPrimary(wlog, *replListen, replica.PrimaryOptions{}); err != nil {
 			return fmt.Errorf("-repl-listen %s: %w", *replListen, err)
 		}
 		fmt.Fprintf(out, "replication listener on %s\n", repl.Addr())
@@ -219,69 +257,14 @@ func runServe(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "serving %d node(s), %d edge(s), dest %d, epoch %d\n",
 		ep.Topo.N(), ep.Topo.M(), ep.Labels.Destination(), ep.Seq)
 
-	shutdown := func() error {
-		if repl != nil {
-			repl.Close()
-		}
-		sdCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(sdCtx); err != nil {
-			return fmt.Errorf("server shutdown: %w", err)
-		}
-		if wlog != nil {
-			if err := wlog.Close(); err != nil {
-				return fmt.Errorf("wal close: %w", err)
-			}
-		}
-		if *saveFile != "" {
-			final := frozenToGraph(srv.Epoch().Topo)
-			if err := wal.SaveGraph(*saveFile, final); err != nil {
-				return fmt.Errorf("-save %s: %w", *saveFile, err)
-			}
-			fmt.Fprintf(out, "saved %d node(s), %d edge(s) to %s\n", final.N(), final.M(), *saveFile)
-		}
-		return nil
-	}
-
-	if *loadN > 0 {
-		lg := &server.LoadGen{
-			Handler: srv.Handler(), N: g.N(), Seed: *loadSeed,
-			Workers: *workers, CDS: *cds,
-		}
-		st, err := lg.Run(*loadN)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "loadgen: %d queries in %v: %.0f queries/sec, p50 %v, p99 %v, max %v, shed %d\n",
-			st.Queries, st.Elapsed.Round(time.Millisecond), st.QPS, st.P50, st.P99, st.Max, st.Shed)
-		if err := shutdown(); err != nil {
-			return err
-		}
-		if st.Errors > 0 {
-			return fmt.Errorf("loadgen saw %d error response(s)", st.Errors)
-		}
-		return nil
-	}
-
 	gate.SetReady(srv.Handler())
 	fmt.Fprintln(out, "ready")
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errCh:
 		return err
 	case <-ctx.Done():
 	}
 	fmt.Fprintln(out, "shutting down")
-	if err := shutdown(); err != nil {
-		return err
-	}
-	sdCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(sdCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
 	return nil
 }
 

@@ -333,9 +333,10 @@ func TestWALSmokeKillRecover(t *testing.T) {
 	}
 }
 
-// TestServeLoadSaveRoundTrip covers the -load/-save satellites in-process:
-// save a topology through the snapshot codec, boot from it, and confirm the
-// served graph is identical.
+// TestServeLoadSaveRoundTrip covers -load and -save in-process: save a
+// topology through the snapshot codec, boot from it on a real listener,
+// confirm the served graph hashes the same over the socket, and stop the
+// run to write the final topology back out unchanged.
 func TestServeLoadSaveRoundTrip(t *testing.T) {
 	tmp := t.TempDir()
 	file := filepath.Join(tmp, "boot.snap")
@@ -351,16 +352,17 @@ func TestServeLoadSaveRoundTrip(t *testing.T) {
 		t.Fatal("snapshot-codec round trip changed the topology")
 	}
 
-	var out bytes.Buffer
-	err = runServe([]string{
-		"-load", file, "-save", filepath.Join(tmp, "final.snap"),
-		"-loadgen", "50", "-loadgen-seed", "1",
-	}, &out)
-	if err != nil {
-		t.Fatalf("serve -load -loadgen: %v\n%s", err, out.String())
+	s := startLiveServe(t, "-addr", "127.0.0.1:0",
+		"-load", file, "-save", filepath.Join(tmp, "final.snap"))
+	s.waitReady(t)
+	if got, want := s.graphHash(t), fmt.Sprintf("%016x", wal.GraphHash(g)); got != want {
+		t.Fatalf("served graph hash %s, want the boot file's %s", got, want)
 	}
-	if !strings.Contains(out.String(), fmt.Sprintf("loaded %d node(s)", g.N())) {
-		t.Fatalf("serve did not report loading the boot file:\n%s", out.String())
+	if err := s.stop(); err != nil {
+		t.Fatalf("serve -load -save: %v\n%s", err, s.output())
+	}
+	if !strings.Contains(s.output(), fmt.Sprintf("loaded %d node(s)", g.N())) {
+		t.Fatalf("serve did not report loading the boot file:\n%s", s.output())
 	}
 	final, err := wal.LoadGraph(filepath.Join(tmp, "final.snap"))
 	if err != nil {

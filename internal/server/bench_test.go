@@ -1,98 +1,14 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"testing"
-	"time"
 
 	"structura/internal/gen"
 	"structura/internal/graph"
-	"structura/internal/heal"
 	"structura/internal/stats"
 	"structura/internal/wal"
 )
-
-// BenchmarkServeQPS measures end-to-end serving throughput: a 100k-node
-// sparse ER graph (avg degree ~10) served under the full query mix while a
-// churn goroutine keeps mutation batches flowing through the writer — the
-// paper's socially-rich-and-dynamic regime, scaled. One b.N iteration is a
-// complete load run, so run with -benchtime 1x; the headline metric is the
-// queries/sec custom unit.
-func BenchmarkServeQPS(b *testing.B) {
-	const n = 100_000
-	g := gen.SparseErdosRenyi(stats.NewRand(1), n, 10.0/float64(n-1))
-	srv, err := New(g, Config{
-		SkipCDS:      true, // the MIS→CDS merge does not scale to 100k nodes
-		RepairBudget: heal.Budget{MaxTouched: 20_000},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}()
-
-	// Churn: ~1% of nodes see an edge flip per second of load. Each batch
-	// adds a clutch of fresh edges and removes them again a batch later, so
-	// the graph's density does not drift across iterations.
-	churnCtx, stopChurn := context.WithCancel(context.Background())
-	defer stopChurn()
-	go func() {
-		r := stats.NewRand(7)
-		var prev []Mutation
-		for tick := 0; ; tick++ {
-			select {
-			case <-churnCtx.Done():
-				return
-			case <-time.After(100 * time.Millisecond):
-			}
-			ops := make([]Mutation, 0, 50)
-			for _, m := range prev {
-				ops = append(ops, Mutation{Op: "remove", U: m.U, V: m.V})
-			}
-			prev = prev[:0]
-			for i := 0; i < 25; i++ {
-				u, v := r.Intn(n), r.Intn(n)
-				if u == v {
-					continue
-				}
-				m := Mutation{Op: "add", U: u, V: v}
-				ops = append(ops, m)
-				prev = append(prev, m)
-			}
-			body, _ := json.Marshal(mutateRequest{Ops: ops})
-			req := httptest.NewRequest(http.MethodPost, "/mutate", bytes.NewReader(body))
-			srv.Handler().ServeHTTP(httptest.NewRecorder(), req)
-		}
-	}()
-
-	lg := &LoadGen{Handler: srv.Handler(), N: n, Seed: 42, KhopK: 2}
-	b.ResetTimer()
-	var last *LoadStats
-	for i := 0; i < b.N; i++ {
-		st, err := lg.Run(250_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st.Errors > 0 {
-			b.Fatalf("load run saw %d error responses", st.Errors)
-		}
-		last = st
-	}
-	b.StopTimer()
-	b.ReportMetric(last.QPS, "queries/sec")
-	b.ReportMetric(float64(last.P99.Nanoseconds()), "p99-ns")
-	b.ReportMetric(float64(srv.Epoch().Seq), "epochs")
-	if last.QPS < 1 {
-		b.Fatal("implausible QPS")
-	}
-}
 
 // BenchmarkPublish prices the writer's batch path on sparse ER graphs (avg
 // degree ~10) at 10k, 100k and 1M nodes, journaling to a WAL on wal.MemFS

@@ -29,6 +29,15 @@ func postMutations(t *testing.T, h http.Handler, ops []Mutation) int {
 	return rec.Code
 }
 
+// splitmix64 picks the hammer tests' targets: deterministic and stateless,
+// so reader goroutines share no rng.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 func awaitQuiesced(t *testing.T, srv *Server) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
