@@ -202,11 +202,11 @@ type Report struct {
 	Escalations     int // budget exhaustions or failed verifications
 	RecomputeRounds int // total full-recompute round cost
 
-	// Touched is the Touched of the batch's repair, if one was attempted.
-	// With the events' endpoints it bounds the nodes whose labels moved,
-	// unless Escalations > 0 (see Engine). Only ApplyBatch and HealBatch
-	// set it: Run keeps one report for the whole timeline and leaves it
-	// nil, so the report does not grow with every repair of the run.
+	// Touched is the Touched of the pass's repair, if one was attempted.
+	// With the events' endpoints or HealDirty's seeds it bounds the nodes
+	// whose labels moved, unless Escalations > 0 (see Engine). ApplyBatch,
+	// HealBatch and HealDirty set it; Run keeps one report for the whole
+	// timeline and leaves it nil, so it does not grow with every repair.
 	Touched []int
 
 	Sweeps   int             // periodic full invariant sweeps run

@@ -176,8 +176,15 @@ func TestReplicationCatchUp(t *testing.T) {
 		}
 	}
 
-	// Replica metrics carry the replication cursor.
+	// Replica metrics carry the replication cursor. The replica acks a
+	// chunk only after it has mirrored it, so one read of the stats can
+	// land between the two: wait for the ack to reach the mirrored offset.
+	deadline := time.Now().Add(10 * time.Second)
 	st := r.SnapshotStats()
+	for st.AckedOff != st.MirroredOff && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+		st = r.SnapshotStats()
+	}
 	if !st.Connected || st.Resyncs != 1 || st.MirroredOff == 0 || st.AckedOff != st.MirroredOff {
 		t.Fatalf("unexpected stats: %+v", st)
 	}

@@ -7,15 +7,14 @@ import (
 )
 
 // LoadWindow builds a time-evolving graph for the batch-sequence window
-// [from, to) from the durable history in a WAL store directory. The log's
-// edge records carry validity intervals in batch-sequence time — an add
-// opens an edge at its batch, a remove closes it, a weight change closes
-// the old interval and opens a new one — so the window materializes as a
-// single range scan over the committed (snapshot, log-suffix) pair: each
-// time unit t of the returned EG holds a contact for every edge whose
-// validity interval covers batch from+t. The scan stops early once the
-// committed history passes `to`; nothing beyond the window is decoded into
-// contacts.
+// [from, to) from the durable history in a WAL store directory. Replay
+// hands every applied edge record the batch that committed it — an add
+// opens an edge at its batch, a remove closes it — so the window
+// materializes as a single range scan over the committed (snapshot,
+// log-suffix) pair: each time unit t of the returned EG holds a contact
+// for every edge whose validity interval covers batch from+t. The scan
+// stops early once the committed history passes `to`; nothing beyond the
+// window is decoded into contacts.
 //
 // Snapshot edges are valid from the snapshot's batch seq (earlier history
 // is compacted away); edges still open at the end of the log emit contacts
@@ -78,19 +77,13 @@ func LoadWindowFS(fsys wal.FS, dir string, from, to uint64) (*EG, error) {
 			}
 			k := norm(r.U, r.V)
 			if _, dup := openEdges[k]; !dup {
-				openEdges[k] = open{start: uint64(r.From), weight: r.Weight}
+				openEdges[k] = open{start: r.Seq, weight: r.Weight}
 			}
 		case wal.TRemoveEdge:
 			k := norm(r.U, r.V)
 			if o, ok := openEdges[k]; ok {
-				closeEdge(k, o, uint64(r.To))
+				closeEdge(k, o, r.Seq)
 				delete(openEdges, k)
-			}
-		case wal.TWeight:
-			k := norm(r.U, r.V)
-			if o, ok := openEdges[k]; ok {
-				closeEdge(k, o, uint64(r.From))
-				openEdges[k] = open{start: uint64(r.From), weight: r.Weight}
 			}
 		}
 		return nil

@@ -13,7 +13,8 @@ import (
 // to enumerate by hand (batch-sequence time):
 //
 //	(0,1) w=2   [0, 2)   seeded in the snapshot, removed at batch 2
-//	(2,3) w=1   [1, 3)   added at batch 1, reweighted at batch 3
+//	(2,3) w=1   [1, 3)   added at batch 1, reweighted at batch 3 (removed
+//	                     and re-added in one batch)
 //	(2,3) w=5   [3, ∞)   the reweighted interval, open at end of log
 //	(4,5) w=1   [4, ∞)   added at batch 4, open at end of log
 func windowStore(t *testing.T, opts wal.Options) *wal.MemFS {
@@ -31,7 +32,7 @@ func windowStore(t *testing.T, opts wal.Options) *wal.MemFS {
 	batches := [][]wal.Record{
 		{{Type: wal.TAddEdge, U: 2, V: 3, Weight: 1}},
 		{{Type: wal.TRemoveEdge, U: 0, V: 1}},
-		{{Type: wal.TWeight, U: 2, V: 3, Weight: 5}},
+		{{Type: wal.TRemoveEdge, U: 2, V: 3}, {Type: wal.TAddEdge, U: 2, V: 3, Weight: 5}},
 		{{Type: wal.TAddEdge, U: 4, V: 5, Weight: 1}},
 	}
 	for i, b := range batches {
@@ -185,7 +186,7 @@ func TestLoadWindowInlineCompaction(t *testing.T) {
 		{{Type: wal.TAddEdge, U: 1, V: 2, Weight: 1}},
 		{{Type: wal.TAddEdge, U: 2, V: 3, Weight: 1}},
 		{{Type: wal.TRemoveEdge, U: 1, V: 2}},
-		{{Type: wal.TWeight, U: 0, V: 1, Weight: 9}},
+		{{Type: wal.TRemoveEdge, U: 0, V: 1}, {Type: wal.TAddEdge, U: 0, V: 1, Weight: 9}},
 	}
 	for i, b := range batches {
 		if _, err := l.Append(b); err != nil {

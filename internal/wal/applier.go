@@ -9,7 +9,10 @@ import (
 
 // Applier is the log's one commit state machine: it consumes a log
 // generation's frame stream (everything after the header) and applies
-// committed batches and label deltas to a base state. Recovery feeds it a
+// committed batches and label deltas to a base state. A record's batch is
+// where it sits: an edge record belongs to the commit marker that seals it,
+// a label delta reflects the last commit marker before it — so labels can
+// never be stamped ahead of the topology. Recovery feeds it a
 // whole log file and truncates at the last sealed batch when the stream
 // breaks off; a replica's Mirror feeds it arbitrary prefixes of the
 // primary's stream as their bytes become durable. A partial trailing frame is buffered until the
@@ -25,11 +28,11 @@ type Applier struct {
 	Batches      int    // committed batches applied
 	Records      uint64 // mutation records sealed by the applied batches
 	LabelRecords int    // label deltas applied
-	Ignored      int    // label deltas skipped (stamped ahead of topology, or unusable)
 
 	// OnCommit, when set, observes every committed batch as it applies:
-	// its commit marker and those of its records that changed the graph
-	// (the slice is reused after the call returns). A non-nil error stops
+	// its commit marker and those of its records that changed the graph,
+	// each carrying the batch in Seq (the slice is reused after the call
+	// returns). A non-nil error stops
 	// Feed, which returns it unwrapped. Replay's callback runs here.
 	OnCommit func(commit Record, applied []Record) error
 
@@ -117,19 +120,14 @@ func (a *Applier) apply(r Record) error {
 		if len(a.pending) > 0 {
 			return fmt.Errorf("%w: label record inside an uncommitted batch", ErrTorn)
 		}
-		if r.Label.Seq > a.Seq {
-			a.Ignored++
-			return nil
-		}
 		if a.Labels == nil {
 			a.Labels = &LabelSet{}
 		}
-		if !applyLabelDelta(a.Labels, r.Label) {
-			a.Ignored++
-			return nil
+		if applyLabelDelta(a.Labels, r.Label) {
+			a.Labels.Seq = a.Seq
+			a.LabelRecords++
+			a.pruneTouched()
 		}
-		a.LabelRecords++
-		a.pruneTouched()
 		return nil
 	case TCommit:
 		if r.Seq != a.Seq+1 || int(r.Count) != len(a.pending) {
@@ -139,20 +137,9 @@ func (a *Applier) apply(r Record) error {
 		var nodes []int32
 		a.applied = a.applied[:0]
 		for _, pr := range a.pending {
-			if pr.Type == TRemoveNode && int(pr.U) >= 0 && int(pr.U) < a.G.N() {
-				for _, nb := range a.G.Neighbors(int(pr.U)) {
-					nodes = append(nodes, int32(nb))
-				}
-			}
 			if applyRecord(a.G, pr) {
-				switch pr.Type {
-				case TAddNode:
-					nodes = append(nodes, int32(a.G.N()-1))
-				case TRemoveNode:
-					nodes = append(nodes, pr.U)
-				default:
-					nodes = append(nodes, pr.U, pr.V)
-				}
+				pr.Seq = r.Seq
+				nodes = append(nodes, pr.U, pr.V)
 				a.applied = append(a.applied, pr)
 			}
 		}
@@ -195,8 +182,8 @@ func (a *Applier) Dirty() []int {
 
 // UsableLabels reports whether the applied label epoch can describe the
 // applied graph: present, and every array it holds is one label per node.
-// A crash can tear an epoch that changed the node count between its route
-// and membership records, leaving arrays of two lengths.
+// A crash can tear an epoch that changed the label-array length between its
+// route and membership records, leaving arrays of two lengths.
 func (a *Applier) UsableLabels() bool {
 	ls, n := a.Labels, a.G.N()
 	return ls != nil && len(ls.Dist) == n && len(ls.Next) == n && len(ls.MIS) == n &&

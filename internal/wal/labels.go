@@ -85,12 +85,12 @@ func (ls *LabelSet) InCDS(v int) bool { return ls.CDS[v] }
 // one structure at one epoch publish. A Reset delta reinitializes the whole
 // structure before applying its entries (the first delta of a fresh log, or
 // a structure whose array length changed); an Absent CDS delta retires the
-// backbone entirely.
+// backbone entirely. The batch the labels reflect is not in the record: it
+// is the last one committed before it in the log.
 type LabelDelta struct {
 	Kind   LabelKind
 	Reset  bool
 	Absent bool   // LabelCDS only: backbone no longer maintained
-	Seq    uint64 // batch seq of the topology the labels reflect
 	N      uint32 // full label-array length (sanity + sizing on Reset)
 	Dest   int32  // LabelRoute only; 0 otherwise
 
@@ -102,11 +102,12 @@ type LabelDelta struct {
 
 // Label-delta codec constants. The payload is versioned independently of
 // the frame format so the entry layout can evolve without renumbering the
-// record type.
+// record type. Version 2 dropped the batch seq that version 1 repeated from
+// the preceding commit marker.
 const (
-	labelDeltaVer = 1
+	labelDeltaVer = 2
 
-	labelDeltaHeader = 1 + 1 + 1 + 1 + 8 + 4 + 4 + 4 // type, ver, kind, flags, seq, n, dest, count
+	labelDeltaHeader = 1 + 1 + 1 + 1 + 4 + 4 + 4 // type, ver, kind, flags, n, dest, count
 	labelRouteEntry  = 4 + 8 + 4
 	labelBitEntry    = 4 + 1
 
@@ -137,7 +138,6 @@ func appendLabelDelta(buf []byte, d *LabelDelta) []byte {
 		flags |= labelFlagAbsent
 	}
 	buf = append(buf, flags)
-	buf = binary.LittleEndian.AppendUint64(buf, d.Seq)
 	buf = binary.LittleEndian.AppendUint32(buf, d.N)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.Dest))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(d.Nodes)))
@@ -191,10 +191,9 @@ func DecodeLabelDelta(p []byte) (*LabelDelta, error) {
 	if d.Absent && d.Kind != LabelCDS {
 		return nil, fmt.Errorf("%w: absent flag on label kind %d", ErrRecordType, d.Kind)
 	}
-	d.Seq = binary.LittleEndian.Uint64(p[4:])
-	d.N = binary.LittleEndian.Uint32(p[12:])
-	d.Dest = int32(binary.LittleEndian.Uint32(p[16:]))
-	count := int(binary.LittleEndian.Uint32(p[20:]))
+	d.N = binary.LittleEndian.Uint32(p[4:])
+	d.Dest = int32(binary.LittleEndian.Uint32(p[8:]))
+	count := int(binary.LittleEndian.Uint32(p[12:]))
 	if count > maxLabelEntries {
 		return nil, fmt.Errorf("%w: label delta claims %d entries (max %d)", ErrRecordLen, count, maxLabelEntries)
 	}
@@ -235,9 +234,10 @@ func DecodeLabelDelta(p []byte) (*LabelDelta, error) {
 }
 
 // applyLabelDelta folds one replayed delta into ls, allocating arrays on
-// Reset. It is defensive against arbitrary decoded input: out-of-range
-// nodes are skipped, and a delta whose N disagrees with the current arrays
-// (absent a Reset) is rejected. It reports whether the delta applied.
+// Reset; the caller stamps ls with the batch the delta reflects. It is
+// defensive against arbitrary decoded input: out-of-range nodes are
+// skipped, and a delta whose N disagrees with the current arrays (absent a
+// Reset) is rejected. It reports whether the delta applied.
 func applyLabelDelta(ls *LabelSet, d *LabelDelta) bool {
 	n := int(d.N)
 	if n > maxLabelN {
@@ -299,9 +299,6 @@ func applyLabelDelta(ls *LabelSet, d *LabelDelta) bool {
 	default:
 		return false
 	}
-	if d.Seq > ls.Seq {
-		ls.Seq = d.Seq
-	}
 	return true
 }
 
@@ -316,22 +313,22 @@ func chunkNodes(count int, fn func(lo, hi int)) {
 	}
 }
 
-// diffLabels computes the delta records that carry prev to cur, stamped
-// seq. nodes are the candidates — sorted, distinct, in [0, cur.N()) — and
-// must include every node whose labels differ between prev and cur; only
-// those that do differ are emitted. A nil prev, a length change, or a
+// diffLabels computes the delta records that carry prev to cur. nodes are
+// the candidates — sorted, distinct, in [0, cur.N()) — and must include
+// every node whose labels differ between prev and cur; only those that do
+// differ are emitted. A nil prev, a length change, or a
 // destination change yields full Reset deltas over every node, whatever
 // the candidates (likewise a backbone that appears). The returned deltas
 // are in canonical node-ascending order, chunked at maxLabelEntries
 // entries each, so any candidate superset yields the same records.
-func diffLabels(prev, cur LabelReader, nodes []int, seq uint64) []*LabelDelta {
+func diffLabels(prev, cur LabelReader, nodes []int) []*LabelDelta {
 	var out []*LabelDelta
 	n := cur.N()
 	dest := cur.Destination()
 	emit := func(kind LabelKind, ids []int32, reset bool) {
 		chunkNodes(len(ids), func(lo, hi int) {
 			d := &LabelDelta{
-				Kind: kind, Reset: reset && lo == 0, Seq: seq,
+				Kind: kind, Reset: reset && lo == 0,
 				N: uint32(n), Nodes: ids[lo:hi],
 			}
 			switch kind {
@@ -371,7 +368,7 @@ func diffLabels(prev, cur LabelReader, nodes []int, seq uint64) []*LabelDelta {
 		if n > 0 {
 			emit(LabelRoute, allNodes(), true)
 		} else {
-			out = append(out, &LabelDelta{Kind: LabelRoute, Reset: true, Seq: seq, N: 0, Dest: int32(dest)})
+			out = append(out, &LabelDelta{Kind: LabelRoute, Reset: true, N: 0, Dest: int32(dest)})
 		}
 	} else {
 		var ids []int32
@@ -416,7 +413,7 @@ func diffLabels(prev, cur LabelReader, nodes []int, seq uint64) []*LabelDelta {
 			emit(LabelCDS, ids, false)
 		}
 	case prev != nil && prev.HasBackbone():
-		out = append(out, &LabelDelta{Kind: LabelCDS, Absent: true, Seq: seq, N: uint32(n)})
+		out = append(out, &LabelDelta{Kind: LabelCDS, Absent: true, N: uint32(n)})
 	}
 	return out
 }

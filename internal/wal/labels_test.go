@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"path"
 	"reflect"
@@ -76,7 +75,7 @@ func mutateLabels(seed int64, ls *LabelSet, changes int) {
 	}
 }
 
-// diffAll is diffLabels with every node a candidate, stamped cur.Seq.
+// diffAll is diffLabels with every node a candidate.
 func diffAll(prev, cur *LabelSet) []*LabelDelta {
 	nodes := make([]int, cur.N())
 	for i := range nodes {
@@ -86,7 +85,7 @@ func diffAll(prev, cur *LabelSet) []*LabelDelta {
 	if prev != nil {
 		base = prev
 	}
-	return diffLabels(base, cur, nodes, cur.Seq)
+	return diffLabels(base, cur, nodes)
 }
 
 // readLabels copies the epoch r reads into a LabelSet (nil for nil).
@@ -133,12 +132,12 @@ func labelsEqual(a, b *LabelSet) bool {
 
 func TestLabelDeltaRoundTrip(t *testing.T) {
 	deltas := []*LabelDelta{
-		{Kind: LabelRoute, Reset: true, Seq: 7, N: 4, Dest: 2,
+		{Kind: LabelRoute, Reset: true, N: 4, Dest: 2,
 			Nodes: []int32{0, 1, 2, 3}, Dists: []float64{1, 0, math.Inf(1), 2}, Nexts: []int32{1, -1, -1, 0}},
-		{Kind: LabelMIS, Seq: 9, N: 4, Nodes: []int32{2}, Bits: []bool{true}},
-		{Kind: LabelCDS, Reset: true, Seq: 3, N: 5, Nodes: []int32{0, 4}, Bits: []bool{true, false}},
-		{Kind: LabelCDS, Absent: true, Seq: 11, N: 5, Nodes: []int32{}},
-		{Kind: LabelRoute, Seq: 0, N: 0, Nodes: []int32{}, Dists: []float64{}, Nexts: []int32{}},
+		{Kind: LabelMIS, N: 4, Nodes: []int32{2}, Bits: []bool{true}},
+		{Kind: LabelCDS, Reset: true, N: 5, Nodes: []int32{0, 4}, Bits: []bool{true, false}},
+		{Kind: LabelCDS, Absent: true, N: 5, Nodes: []int32{}},
+		{Kind: LabelRoute, N: 0, Nodes: []int32{}, Dists: []float64{}, Nexts: []int32{}},
 	}
 	for i, d := range deltas {
 		enc := EncodeLabelDelta(d)
@@ -147,7 +146,7 @@ func TestLabelDeltaRoundTrip(t *testing.T) {
 			t.Fatalf("delta %d: decode: %v", i, err)
 		}
 		if got.Kind != d.Kind || got.Reset != d.Reset || got.Absent != d.Absent ||
-			got.Seq != d.Seq || got.N != d.N || got.Dest != d.Dest || len(got.Nodes) != len(d.Nodes) {
+			got.N != d.N || got.Dest != d.Dest || len(got.Nodes) != len(d.Nodes) {
 			t.Fatalf("delta %d: round trip changed header: %+v vs %+v", i, got, d)
 		}
 		if !bytes.Equal(EncodeLabelDelta(got), enc) {
@@ -160,7 +159,7 @@ func TestLabelDeltaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("record codec: %v", err)
 	}
-	if rr.Label == nil || rr.Label.Kind != LabelRoute || rr.Label.Seq != 7 {
+	if rr.Label == nil || rr.Label.Kind != LabelRoute || rr.Label.Dest != 2 {
 		t.Fatalf("record codec lost the delta: %+v", rr.Label)
 	}
 }
@@ -174,7 +173,6 @@ func TestDiffApplyLabels(t *testing.T) {
 	applied := &LabelSet{}
 	cur := randLabels(1, n, true)
 	for step := 0; step < 12; step++ {
-		cur.Seq = uint64(step + 1)
 		switch step {
 		case 5: // CDS retires
 			cur.HasCDS = false
@@ -201,9 +199,6 @@ func TestDiffApplyLabels(t *testing.T) {
 		}
 		if !labelsEqual(applied, cur) {
 			t.Fatalf("step %d: applied diff diverged from target", step)
-		}
-		if len(deltas) > 0 && applied.Seq != cur.Seq {
-			t.Fatalf("step %d: applied seq %d, want %d", step, applied.Seq, cur.Seq)
 		}
 		prev = cur.Clone()
 	}
@@ -337,12 +332,16 @@ func TestLabelLagDirty(t *testing.T) {
 	}
 	l.Close()
 
-	_, rec, err := Open("d", Options{FS: fsys.CrashImage(0), CompactEvery: -1})
+	l2, rec, err := Open("d", Options{FS: fsys.CrashImage(0), CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer l2.Close()
 	if rec.Labels == nil || rec.Labels.Seq != 1 {
 		t.Fatalf("labels: %+v, want epoch at seq 1", rec.Labels)
+	}
+	if got := l2.Metrics().LabelSeq; got != 1 {
+		t.Fatalf("Metrics().LabelSeq = %d after recovery, want the recovered epoch's 1", got)
 	}
 	want := map[int]bool{2: true, 9: true, 0: true, 1: true}
 	if len(rec.Dirty) != len(want) {
@@ -391,57 +390,6 @@ func TestUnmovedLabelEpochAdvancesSeq(t *testing.T) {
 	}
 	if len(rec.Dirty) != 0 {
 		t.Fatalf("dirty %v on a label-current store", rec.Dirty)
-	}
-}
-
-// TestLabelsNeverAheadOfTopology hand-builds a log whose label delta is
-// stamped past the last committed batch — the byte pattern a crash between
-// "labels computed" and "batch committed" could never produce, but damage
-// could — and requires recovery to skip it.
-func TestLabelsNeverAheadOfTopology(t *testing.T) {
-	fsys := NewMemFS()
-	l, err := Create("d", ringGraph(8), Options{FS: fsys, CompactEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Append([]Record{{Type: TAddEdge, U: 0, V: 3, Weight: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	logName := l.logName
-	l.Close()
-
-	// Append a label delta claiming seq 5 (> committed seq 1) directly.
-	img := fsys.CrashImage(0)
-	data, err := img.ReadFile(path.Join("d", logName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rogue := appendFrame(nil, Record{Type: TLabelDelta, Label: &LabelDelta{
-		Kind: LabelMIS, Reset: true, Seq: 5, N: 8,
-		Nodes: []int32{0}, Bits: []bool{true},
-	}})
-	f, err := img.Create(path.Join("d", logName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write(data)
-	f.Write(rogue)
-	f.Sync()
-	f.Close()
-	img.SyncDir("d")
-
-	_, rec, err := Open("d", Options{FS: img, CompactEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Seq != 1 {
-		t.Fatalf("recovered seq %d, want 1", rec.Seq)
-	}
-	if rec.Labels != nil {
-		t.Fatalf("future-stamped label delta was applied: %+v", rec.Labels)
-	}
-	if rec.LabelsIgnored != 1 {
-		t.Fatalf("LabelsIgnored = %d, want 1", rec.LabelsIgnored)
 	}
 }
 
@@ -589,49 +537,51 @@ func TestPromoteFencing(t *testing.T) {
 	l2.Close()
 }
 
-// TestTornResizedEpochIsDropped crashes between the write and the fsync of
-// a label epoch that grew the node count, for several torn prefixes. An
-// image that kept the route records but lost the membership ones holds
-// arrays of two lengths; recovery must drop such an epoch rather than
-// install it in the snapshot it writes, or the store no longer opens.
+// TestTornResizedEpochIsDropped tears a label epoch that changes the
+// label-array length after its first records: the store journaled a stale
+// 20-node epoch over its 10-node graph, and the next epoch — back to one
+// label per node — lost its later records in a crash. An image that kept
+// the route records but lost the membership ones holds arrays of two
+// lengths; recovery must drop such an epoch rather than install it in the
+// snapshot it writes, or the store no longer opens. The whole epoch
+// recovers.
 func TestTornResizedEpochIsDropped(t *testing.T) {
-	for _, tc := range []struct {
-		seed   uint64
-		hasCDS bool
-	}{{1, false}, {7, false}, {11, false}, {1, true}, {7, true}, {11, true}} {
-		seed := tc.seed
-		ffs := NewFaultFS(NewMemFS(), seed, -1)
-		l, err := Create("d", ringGraph(10), Options{FS: ffs, CompactEvery: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := l.AppendLabels(randLabels(1, 10, tc.hasCDS)); err != nil {
-			t.Fatal(err)
-		}
-		grow := make([]Record, 10)
-		for i := range grow {
-			grow[i] = Record{Type: TAddNode}
-		}
-		if _, err := l.Append(grow); err != nil {
-			t.Fatal(err)
-		}
-		ffs.crashAt = ffs.Ops() + 1 // the label write lands; its fsync crashes
-		if _, err := l.AppendLabels(randLabels(2, 20, tc.hasCDS)); !errors.Is(err, ErrCrashed) {
-			t.Fatalf("seed %d cds %t: label append returned %v, want a crash at its fsync", seed, tc.hasCDS, err)
-		}
-		img := ffs.Durable()
-		for open := 1; open <= 2; open++ {
-			l2, rec, err := Open("d", Options{FS: img, CompactEvery: -1})
+	for _, hasCDS := range []bool{false, true} {
+		stale, next := randLabels(1, 20, hasCDS), randLabels(2, 10, hasCDS)
+		deltas := diffAll(stale, next)
+		for keep := 1; keep <= len(deltas); keep++ {
+			fsys := NewMemFS()
+			l, err := Create("d", ringGraph(10), Options{FS: fsys, CompactEvery: -1})
 			if err != nil {
-				t.Errorf("seed %d cds %t: open %d: %v", seed, tc.hasCDS, open, err)
-				break
+				t.Fatal(err)
 			}
-			if ls := rec.Labels; ls != nil && (len(ls.Next) != ls.N() || len(ls.MIS) != ls.N() ||
-				ls.HasCDS && len(ls.CDS) != ls.N()) {
-				t.Errorf("seed %d cds %t: open %d recovered %d route, %d next, %d MIS and %d CDS labels",
-					seed, tc.hasCDS, open, ls.N(), len(ls.Next), len(ls.MIS), len(ls.CDS))
+			if _, err := l.AppendLabels(stale); err != nil {
+				t.Fatal(err)
 			}
-			l2.Close()
+			logName := path.Join("d", l.logName)
+			l.Close()
+			data, err := fsys.ReadFile(logName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range deltas[:keep] {
+				data = appendFrame(data, Record{Type: TLabelDelta, Label: d})
+			}
+			if err := writeFileDurable(fsys, logName, data); err != nil {
+				t.Fatal(err)
+			}
+			whole := keep == len(deltas)
+			for open := 1; open <= 2; open++ {
+				l2, rec, err := Open("d", Options{FS: fsys, CompactEvery: -1})
+				if err != nil {
+					t.Fatalf("cds %t, %d of %d record(s): open %d: %v", hasCDS, keep, len(deltas), open, err)
+				}
+				if ls := rec.Labels; (ls != nil) != whole || ls != nil && !labelsEqual(ls, next) {
+					t.Errorf("cds %t, %d of %d record(s): open %d recovered labels %v, want them only from the whole epoch",
+						hasCDS, keep, len(deltas), open, ls != nil)
+				}
+				l2.Close()
+			}
 		}
 	}
 }

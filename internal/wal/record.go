@@ -9,43 +9,40 @@ import (
 )
 
 // Type discriminates mutation-log records. The on-disk byte values are part
-// of the durable format and must never be renumbered.
+// of the durable format and must never be renumbered or reused: bytes 1, 2
+// and 5 named node additions, node removals and weight changes, which no
+// writer emitted, and now decode as ErrRecordType.
 type Type uint8
 
 const (
-	// TAddNode appends one isolated node to the graph.
-	TAddNode Type = 1
-	// TRemoveNode detaches every edge incident to U (the node stays as an
-	// isolated vertex, matching graph trimming semantics).
-	TRemoveNode Type = 2
-	// TAddEdge adds edge (U,V) with Weight, valid from batch From onward
-	// (To is -1: the interval is open until a TRemoveEdge closes it).
+	// TAddEdge adds edge (U,V) with Weight. The edge is valid from the
+	// batch whose commit marker seals the record onward.
 	TAddEdge Type = 3
-	// TRemoveEdge removes edge (U,V), closing its validity interval at To.
+	// TRemoveEdge removes edge (U,V), closing its validity interval at the
+	// batch whose commit marker seals the record.
 	TRemoveEdge Type = 4
-	// TWeight sets the weight of existing edge (U,V) to Weight from batch
-	// From onward.
-	TWeight Type = 5
 	// TCommit seals the Count preceding records as committed batch Seq.
 	// Records after the last commit marker are discarded by recovery.
 	TCommit Type = 6
 	// TLabelDelta carries one structure's changed-(node,value) pairs at an
-	// epoch publish (see LabelDelta). Label records follow the commit marker
-	// of the batch they reflect and are never part of a pending batch.
+	// epoch publish (see LabelDelta). A label record reflects the batch of
+	// the last commit marker before it and is never part of a pending
+	// batch.
 	TLabelDelta Type = 7
 )
 
-// Record is one mutation-log entry. Edge records carry the validity interval
-// [From, To) in batch-sequence time units — the on-disk reflection of the
-// time-indexed graph: a window [a,b) loads as a range scan over the log
-// (see temporal.LoadWindow) instead of a full rebuild.
+// Record is one mutation-log entry. A record's batch is never written in
+// it: edge records take theirs from the commit marker that seals them, and
+// label records from the last commit marker before them. Replay hands each
+// applied record its batch in Seq, so an edge's validity interval reads in
+// batch-sequence time — the on-disk reflection of the time-indexed graph: a
+// window [a,b) loads as a range scan over the log (see temporal.LoadWindow)
+// instead of a full rebuild.
 type Record struct {
 	Type   Type
-	U, V   int32   // endpoints (TRemoveNode uses U alone)
-	Weight float64 // TAddEdge, TWeight
-	From   int64   // valid-from batch seq (TAddEdge, TWeight)
-	To     int64   // valid-to batch seq (TRemoveEdge; -1 = open on TAddEdge)
-	Seq    uint64  // TCommit: batch sequence number
+	U, V   int32   // edge endpoints
+	Weight float64 // TAddEdge
+	Seq    uint64  // TCommit: its batch; a record from Replay: the batch that applied it
 	Count  uint32  // TCommit: records sealed by this marker
 
 	// Label holds the decoded payload of a TLabelDelta record (nil for
@@ -58,11 +55,8 @@ type Record struct {
 // makes encode∘decode the identity on every decodable byte string (the
 // FuzzWALRecord property).
 const (
-	lenAddNode    = 1
-	lenRemoveNode = 1 + 4
-	lenAddEdge    = 1 + 4 + 4 + 8 + 8 + 8
-	lenRemoveEdge = 1 + 4 + 4 + 8
-	lenWeight     = 1 + 4 + 4 + 8 + 8
+	lenAddEdge    = 1 + 4 + 4 + 8
+	lenRemoveEdge = 1 + 4 + 4
 	lenCommit     = 1 + 8 + 4
 
 	// maxPayload bounds a frame's declared payload length; anything larger
@@ -91,24 +85,13 @@ var (
 func (r Record) appendPayload(buf []byte) []byte {
 	buf = append(buf, byte(r.Type))
 	switch r.Type {
-	case TAddNode:
-	case TRemoveNode:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.U))
 	case TAddEdge:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.U))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.V))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Weight))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.From))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.To))
 	case TRemoveEdge:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.U))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.V))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.To))
-	case TWeight:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.U))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.V))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Weight))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.From))
 	case TCommit:
 		buf = binary.LittleEndian.AppendUint64(buf, r.Seq)
 		buf = binary.LittleEndian.AppendUint32(buf, r.Count)
@@ -135,21 +118,14 @@ func DecodeRecord(p []byte) (Record, error) {
 			return Record{}, err
 		}
 		r.Label = d
-		r.Seq = d.Seq
 		return r, nil
 	}
 	want := 0
 	switch r.Type {
-	case TAddNode:
-		want = lenAddNode
-	case TRemoveNode:
-		want = lenRemoveNode
 	case TAddEdge:
 		want = lenAddEdge
 	case TRemoveEdge:
 		want = lenRemoveEdge
-	case TWeight:
-		want = lenWeight
 	case TCommit:
 		want = lenCommit
 	default:
@@ -159,23 +135,13 @@ func DecodeRecord(p []byte) (Record, error) {
 		return Record{}, fmt.Errorf("%w: type %d has %d byte(s), want %d", ErrRecordLen, r.Type, len(p), want)
 	}
 	switch r.Type {
-	case TRemoveNode:
-		r.U = int32(binary.LittleEndian.Uint32(p[1:]))
 	case TAddEdge:
 		r.U = int32(binary.LittleEndian.Uint32(p[1:]))
 		r.V = int32(binary.LittleEndian.Uint32(p[5:]))
 		r.Weight = math.Float64frombits(binary.LittleEndian.Uint64(p[9:]))
-		r.From = int64(binary.LittleEndian.Uint64(p[17:]))
-		r.To = int64(binary.LittleEndian.Uint64(p[25:]))
 	case TRemoveEdge:
 		r.U = int32(binary.LittleEndian.Uint32(p[1:]))
 		r.V = int32(binary.LittleEndian.Uint32(p[5:]))
-		r.To = int64(binary.LittleEndian.Uint64(p[9:]))
-	case TWeight:
-		r.U = int32(binary.LittleEndian.Uint32(p[1:]))
-		r.V = int32(binary.LittleEndian.Uint32(p[5:]))
-		r.Weight = math.Float64frombits(binary.LittleEndian.Uint64(p[9:]))
-		r.From = int64(binary.LittleEndian.Uint64(p[17:]))
 	case TCommit:
 		r.Seq = binary.LittleEndian.Uint64(p[1:])
 		r.Count = binary.LittleEndian.Uint32(p[9:])

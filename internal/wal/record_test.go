@@ -4,39 +4,58 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
-func sampleRecords() []Record {
-	return []Record{
-		{Type: TAddNode},
-		{Type: TRemoveNode, U: 7},
-		{Type: TAddEdge, U: 1, V: 2, Weight: 2.5, From: 3, To: -1},
-		{Type: TRemoveEdge, U: 1, V: 2, To: 9},
-		{Type: TWeight, U: 4, V: 5, Weight: 0.25, From: 6},
-		{Type: TCommit, Seq: 12, Count: 4},
-	}
-}
-
+// TestRecordRoundTrip pins the record codec row by row: each accepted
+// payload round-trips canonically and frames to its stated length (an
+// 8-byte frame header plus the payload), and the retired type bytes decode
+// as ErrRecordType.
 func TestRecordRoundTrip(t *testing.T) {
-	for _, r := range sampleRecords() {
-		p := EncodeRecord(r)
+	rows := []struct {
+		name    string
+		payload []byte
+		want    Record // accepted rows
+		frame   int    // framed length of an accepted row
+		err     error  // rejected rows
+	}{
+		{name: "add edge", want: Record{Type: TAddEdge, U: 1, V: 2, Weight: 2.5}, frame: 25},
+		{name: "remove edge", want: Record{Type: TRemoveEdge, U: 1, V: 2}, frame: 17},
+		{name: "commit", want: Record{Type: TCommit, Seq: 12, Count: 4}, frame: 21},
+		{name: "label delta, 16-byte header and no entries", want: Record{Type: TLabelDelta,
+			Label: &LabelDelta{Kind: LabelMIS, N: 8, Nodes: []int32{}, Bits: []bool{}}}, frame: 8 + 16},
+		{name: "retired node add (1)", payload: []byte{1}, err: ErrRecordType},
+		{name: "retired node removal (2)", payload: []byte{2, 7, 0, 0, 0}, err: ErrRecordType},
+		{name: "retired weight change (5)", payload: append([]byte{5}, make([]byte, 24)...), err: ErrRecordType},
+	}
+	for _, row := range rows {
+		if row.err != nil {
+			if _, err := DecodeRecord(row.payload); !errors.Is(err, row.err) {
+				t.Errorf("%s: got %v, want %v", row.name, err, row.err)
+			}
+			continue
+		}
+		p := EncodeRecord(row.want)
 		got, err := DecodeRecord(p)
 		if err != nil {
-			t.Fatalf("decode %v: %v", r, err)
+			t.Fatalf("%s: decode: %v", row.name, err)
 		}
-		if got != r {
-			t.Fatalf("round trip: got %+v, want %+v", got, r)
+		if !reflect.DeepEqual(got, row.want) {
+			t.Fatalf("%s: round trip: got %+v, want %+v", row.name, got, row.want)
 		}
 		// Canonical: re-encoding the decoded record reproduces the bytes.
 		if !bytes.Equal(EncodeRecord(got), p) {
-			t.Fatalf("re-encode of %+v differs", r)
+			t.Fatalf("%s: re-encode differs", row.name)
+		}
+		if n := len(appendFrame(nil, row.want)); n != row.frame {
+			t.Errorf("%s: frame is %d byte(s), want %d", row.name, n, row.frame)
 		}
 	}
 }
 
 func TestRecordNaNWeightRoundTrips(t *testing.T) {
-	r := Record{Type: TWeight, U: 1, V: 2, Weight: math.NaN(), From: 1}
+	r := Record{Type: TAddEdge, U: 1, V: 2, Weight: math.NaN()}
 	got, err := DecodeRecord(EncodeRecord(r))
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +85,7 @@ func TestDecodeRecordErrors(t *testing.T) {
 }
 
 func TestReadFrameTornCases(t *testing.T) {
-	full := appendFrame(nil, Record{Type: TAddEdge, U: 1, V: 2, Weight: 1, From: 1, To: -1})
+	full := appendFrame(nil, Record{Type: TAddEdge, U: 1, V: 2, Weight: 1})
 
 	if r, n, err := readFrame(full); err != nil || n != len(full) || r.Type != TAddEdge {
 		t.Fatalf("clean frame: r=%+v n=%d err=%v", r, n, err)

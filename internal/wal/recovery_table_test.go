@@ -1,8 +1,14 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"maps"
 	"path"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -11,6 +17,8 @@ import (
 // single log generation (the header stays valid unless the row replaces it)
 // and checks the recovered prefix, the truncation offset, the label
 // accounting, the warm-start dirty set, and whether a label epoch survived.
+// A row whose header Open must refuse checks instead that the error is
+// ErrCorrupt and that every file of the store stays byte-identical.
 func TestRecoveryTruncationTable(t *testing.T) {
 	const n = 8
 	frames := func(recs ...Record) []byte {
@@ -20,26 +28,21 @@ func TestRecoveryTruncationTable(t *testing.T) {
 		}
 		return b
 	}
-	add := func(u, v int32, seq int64) Record {
-		return Record{Type: TAddEdge, U: u, V: v, Weight: 1, From: seq, To: -1}
-	}
-	remove := func(u, v int32, seq int64) Record {
-		return Record{Type: TRemoveEdge, U: u, V: v, To: seq}
-	}
+	add := func(u, v int32) Record { return Record{Type: TAddEdge, U: u, V: v, Weight: 1} }
+	remove := func(u, v int32) Record { return Record{Type: TRemoveEdge, U: u, V: v} }
 	commit := func(seq uint64, count uint32) Record {
 		return Record{Type: TCommit, Seq: seq, Count: count}
 	}
 	// The label epoch journaled after batch 1: a full Reset delta per kind.
 	ls := randLabels(3, n, false)
-	ls.Seq = 1
 	var labels1 []byte
 	deltas := diffAll(nil, ls)
 	for _, d := range deltas {
 		labels1 = appendFrame(labels1, Record{Type: TLabelDelta, Label: d})
 	}
-	batch1 := frames(add(0, 3, 1), commit(1, 1))
-	batch2 := frames(add(2, 6, 2), remove(0, 1, 2), commit(2, 2))
-	firstOf2 := len(frames(add(2, 6, 2)))
+	batch1 := frames(add(0, 3), commit(1, 1))
+	batch2 := frames(add(2, 6), remove(0, 1), commit(2, 2))
+	firstOf2 := len(frames(add(2, 6)))
 	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
 	flip := func(b []byte, off int) []byte {
 		b = slices.Clone(b)
@@ -48,8 +51,11 @@ func TestRecoveryTruncationTable(t *testing.T) {
 	}
 	hdr := int64(logHeaderLen)
 	at2 := hdr + int64(len(batch1)+len(labels1)) // start of batch 2
-	ahead := *deltas[0]
-	ahead.Seq = 5
+	// A whole, checksummed header of another version, and a damaged one.
+	v2 := encodeLogHeader(1, 0, 0)
+	binary.LittleEndian.PutUint16(v2[4:], 2)
+	binary.LittleEndian.PutUint32(v2[logHeaderLen-4:], crc32.Checksum(v2[:logHeaderLen-4], castagnoli))
+	damaged := flip(encodeLogHeader(1, 0, 0), 10)
 
 	type want struct {
 		seq                         uint64
@@ -64,6 +70,7 @@ func TestRecoveryTruncationTable(t *testing.T) {
 		body   []byte
 		header []byte // nil: the store's own header
 		noLog  bool   // delete the log file instead of rewriting it
+		refuse bool   // Open must fail with ErrCorrupt and change no file
 		want   want
 	}{
 		{
@@ -86,29 +93,24 @@ func TestRecoveryTruncationTable(t *testing.T) {
 		},
 		{
 			name: "commit marker with the wrong seq",
-			body: cat(batch1, labels1, frames(add(2, 6, 2), commit(5, 1))),
+			body: cat(batch1, labels1, frames(add(2, 6), commit(5, 1))),
 			want: want{seq: 1, batches: 1, replayed: 1, truncatedAt: at2,
 				labelRecords: len(deltas), labels: true},
 		},
 		{
 			name: "commit marker with the wrong count",
-			body: cat(batch1, labels1, frames(add(2, 6, 2), commit(2, 2))),
+			body: cat(batch1, labels1, frames(add(2, 6), commit(2, 2))),
 			want: want{seq: 1, batches: 1, replayed: 1, truncatedAt: at2,
 				labelRecords: len(deltas), labels: true},
 		},
 		{
 			name: "label record inside a batch",
-			body: cat(batch1, frames(add(2, 6, 2)), labels1, frames(commit(2, 1))),
+			body: cat(batch1, frames(add(2, 6)), labels1, frames(commit(2, 1))),
 			want: want{seq: 1, batches: 1, replayed: 1, truncatedAt: hdr + int64(len(batch1))},
 		},
 		{
-			name: "label stamped ahead of the topology",
-			body: cat(batch1, frames(Record{Type: TLabelDelta, Label: &ahead})),
-			want: want{seq: 1, batches: 1, replayed: 1, truncatedAt: -1, labelsIgnored: 1},
-		},
-		{
 			name: "uncommitted tail",
-			body: cat(batch1, labels1, frames(add(2, 6, 2), remove(0, 1, 2))),
+			body: cat(batch1, labels1, frames(add(2, 6), remove(0, 1))),
 			want: want{seq: 1, batches: 1, replayed: 1, truncatedAt: at2,
 				labelRecords: len(deltas), labels: true},
 		},
@@ -116,6 +118,18 @@ func TestRecoveryTruncationTable(t *testing.T) {
 			name:   "header generation mismatch",
 			body:   cat(batch1, labels1, batch2),
 			header: encodeLogHeader(7, 0, 0),
+			want:   want{truncatedAt: 0},
+		},
+		{
+			name:   "log header of version 2",
+			body:   cat(batch1, labels1, batch2),
+			header: v2,
+			refuse: true,
+		},
+		{
+			name:   "damaged header",
+			body:   cat(batch1, labels1, batch2),
+			header: damaged,
 			want:   want{truncatedAt: 0},
 		},
 		{
@@ -164,7 +178,18 @@ func TestRecoveryTruncationTable(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			l2, rec, err := Open("d", Options{FS: fsys.CrashImage(0), CompactEvery: -1})
+			img := fsys.CrashImage(0)
+			before := storeFiles(t, img)
+			l2, rec, err := Open("d", Options{FS: img, CompactEvery: -1})
+			if row.refuse {
+				if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version 2") {
+					t.Fatalf("open = %v, want ErrCorrupt naming version 2", err)
+				}
+				if after := storeFiles(t, img); !maps.EqualFunc(before, after, bytes.Equal) {
+					t.Fatal("a refused open changed the store's files")
+				}
+				return
+			}
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
@@ -191,4 +216,20 @@ func TestRecoveryTruncationTable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// storeFiles reads every file of the store in d.
+func storeFiles(t *testing.T, fsys FS) map[string][]byte {
+	t.Helper()
+	names, err := fsys.List("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(names))
+	for _, name := range names {
+		if files[name], err = fsys.ReadFile(path.Join("d", name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
 }

@@ -30,7 +30,7 @@ type Recovery struct {
 	// between the two loses only the label suffix).
 	Labels        *LabelSet
 	LabelRecords  int   // label-delta records replayed from the log suffix
-	LabelsIgnored int   // label records skipped (stamped ahead of the durable topology)
+	LabelsIgnored int   // label records replayed but dropped with an epoch that could not describe the recovered graph
 	Dirty         []int // nodes mutated after Labels.Seq — heal seeds for a warm start
 	RecoveryNs    int64 // wall time Open spent replaying durable state
 }
@@ -44,11 +44,12 @@ var ErrStopReplay = errors.New("wal: stop replay")
 
 // Replay streams the durable committed history in dir, read-only: first
 // every edge of the superblock's snapshot (as synthetic TAddEdge records
-// whose From is the snapshot's batch seq — earlier history is compacted
+// whose Seq is the snapshot's batch seq — earlier history is compacted
 // away), then every *applied* mutation record of each committed batch in
-// order, then the batch's TCommit marker. Records of uncommitted or torn
-// tails are never surfaced. The callback may return ErrStopReplay to end
-// the scan early; any other error aborts and is returned.
+// order, each with the batch in Seq, then the batch's TCommit marker.
+// Records of uncommitted or torn tails are never surfaced. The callback may
+// return ErrStopReplay to end the scan early; any other error aborts and is
+// returned.
 func Replay(fsys FS, dir string, fn func(Record) error) (Recovery, error) {
 	if fsys == nil {
 		fsys = OS()
@@ -95,10 +96,7 @@ func replayDir(fsys FS, dir string, fn func(Record) error) (*graph.Graph, Recove
 
 	if fn != nil {
 		for _, e := range g.Edges() {
-			r := Record{
-				Type: TAddEdge, U: int32(e.From), V: int32(e.To),
-				Weight: e.Weight, From: int64(snapSeq), To: -1,
-			}
+			r := Record{Type: TAddEdge, U: int32(e.From), V: int32(e.To), Weight: e.Weight, Seq: snapSeq}
 			if ferr := fn(r); ferr != nil {
 				if errors.Is(ferr, ErrStopReplay) {
 					rec.Nodes = g.N()
@@ -130,9 +128,16 @@ func replayDir(fsys FS, dir string, fn func(Record) error) (*graph.Graph, Recove
 
 // recoverLog feeds the frames of one log generation to an Applier over the
 // snapshot state in g and rec, truncating at the last sealed batch where
-// the stream breaks off. Only a callback error can fail it.
+// the stream breaks off. Only a log header of another version or a
+// callback error can fail it.
 func recoverLog(data []byte, g *graph.Graph, rec *Recovery, fn func(Record) error) error {
 	gen, startSeq, startCum, err := decodeLogHeader(data)
+	if errors.Is(err, errLogVersion) {
+		// A whole, checksummed header of another version is no torn
+		// write: recovering the snapshot alone would let the next
+		// generation install delete the log.
+		return err
+	}
 	if err != nil {
 		// The header is written and fsynced before the superblock ever
 		// references the generation; a torn header means the superblock
@@ -180,16 +185,15 @@ func recoverLog(data []byte, g *graph.Graph, rec *Recovery, fn func(Record) erro
 	rec.Batches = a.Batches
 	rec.Replayed = int(a.Records)
 	rec.Records += a.Records
-	rec.LabelRecords, rec.LabelsIgnored = a.LabelRecords, a.Ignored
+	rec.LabelRecords = a.LabelRecords
 	rec.Labels = nil
 	if a.UsableLabels() {
 		rec.Labels, rec.Dirty = a.Labels, a.Dirty()
 	} else if a.Labels != nil {
 		// A recovered label epoch that cannot describe the recovered graph
-		// (node count drifted with no covering Reset delta) is unusable;
-		// drop it rather than warm-start from a mismatched array.
-		rec.LabelsIgnored += rec.LabelRecords
-		rec.LabelRecords = 0
+		// (an array whose length is not the node count) is unusable; drop
+		// it rather than warm-start from a mismatched array.
+		rec.LabelsIgnored, rec.LabelRecords = rec.LabelRecords, 0
 	}
 	return nil
 }

@@ -31,10 +31,13 @@ const (
 	superVer  = 2
 	superVer1 = 1
 	logMagic  = "STWL"
-	// logVer 2 adds the generation number, making (gen, byte offset) a
+	// logVer 2 added the generation number, making (gen, byte offset) a
 	// globally unique position in the store's log stream — the resume
-	// cursor the replication protocol acks.
-	logVer = 2
+	// cursor the replication protocol acks. logVer 3 keeps that header and
+	// changes the frames behind it: records no longer repeat the batch
+	// their commit marker states. A log of any other version fails
+	// recovery by name (errLogVersion) rather than being read as torn.
+	logVer = 3
 
 	// logHeaderLen frames a log generation: magic, version, generation,
 	// the batch seq and cumulative record count the generation starts
@@ -371,6 +374,10 @@ func encodeLogHeader(gen, startSeq, startCum uint64) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
 
+// errLogVersion marks a whole, checksummed log header of a version this
+// build does not read: real data in another format, not a torn header.
+var errLogVersion = fmt.Errorf("%w: unsupported log version", ErrCorrupt)
+
 func decodeLogHeader(data []byte) (gen, startSeq, startCum uint64, err error) {
 	if len(data) < logHeaderLen {
 		return 0, 0, 0, fmt.Errorf("%w: log header has %d byte(s)", ErrCorrupt, len(data))
@@ -379,11 +386,11 @@ func decodeLogHeader(data []byte) (gen, startSeq, startCum uint64, err error) {
 	if string(h[:4]) != logMagic {
 		return 0, 0, 0, fmt.Errorf("%w: log magic %q", ErrCorrupt, h[:4])
 	}
-	if v := binary.LittleEndian.Uint16(h[4:]); v != logVer {
-		return 0, 0, 0, fmt.Errorf("%w: log version %d (want %d)", ErrCorrupt, v, logVer)
-	}
 	if crc32.Checksum(h[:logHeaderLen-4], castagnoli) != binary.LittleEndian.Uint32(h[logHeaderLen-4:]) {
 		return 0, 0, 0, fmt.Errorf("%w: log header checksum mismatch", ErrCorrupt)
+	}
+	if v := binary.LittleEndian.Uint16(h[4:]); v != logVer {
+		return 0, 0, 0, fmt.Errorf("%w %d (want %d)", errLogVersion, v, logVer)
 	}
 	return binary.LittleEndian.Uint64(h[6:]), binary.LittleEndian.Uint64(h[14:]), binary.LittleEndian.Uint64(h[22:]), nil
 }

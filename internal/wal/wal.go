@@ -9,10 +9,11 @@
 // crash-point sweep in crash_test.go proves that claim at every such point
 // under the FaultFS fault injector.
 //
-// Edge records carry their validity interval in batch-sequence time, which
-// makes the log a native time-indexed graph encoding: temporal windows load
-// as range scans over the committed suffix (temporal.LoadWindow) instead of
-// full rebuilds.
+// An edge record's position states its validity interval in batch-sequence
+// time — the commit marker that seals it is the batch it opens or closes
+// at — which makes the log a native time-indexed graph encoding: temporal
+// windows load as range scans over the committed suffix
+// (temporal.LoadWindow) instead of full rebuilds.
 package wal
 
 import (
@@ -125,7 +126,6 @@ type Log struct {
 	// Nil until the first AppendLabels or a recovery that found usable
 	// labels. labelSeq is the batch it reflects.
 	labels    LabelReader
-	labelSeq  uint64
 	labelsSum uint32 // checksum of labels, kept only under checkBaselines
 
 	f        File
@@ -134,9 +134,6 @@ type Log struct {
 	gen      uint64 // live generation number (increments every newGeneration)
 	fence    uint64 // fencing token (immutable while open; Promote bumps it)
 
-	seq           uint64 // last committed batch
-	cum           uint64 // cumulative mutation records ever committed
-	depth         int    // mutation records in the live log
 	batchesInLog  int
 	unsyncedBatch int
 	broken        error
@@ -150,16 +147,19 @@ type Log struct {
 	genMu sync.Mutex
 	live  []byte // byte-exact mirror of the live log file (header + frames)
 
-	fenced        atomic.Bool  // MarkFenced called; Append rejects
-	mDurable      atomic.Int64 // fsynced prefix length of live
+	// The counters Metrics reads. The writer updates them; seq, cum, depth
+	// and labelSeq are also its own state, with no second copy.
+	seq           atomic.Uint64 // last committed batch
+	cum           atomic.Uint64 // cumulative mutation records ever committed
+	depth         atomic.Uint64 // mutation records in the live log
+	labelSeq      atomic.Uint64 // batch the retained label epoch reflects
+	fenced        atomic.Bool   // MarkFenced called; Append rejects
+	mDurable      atomic.Int64  // fsynced prefix length of live
 	mGen          atomic.Uint64
 	mLabelRecs    atomic.Uint64
-	mLabelSeq     atomic.Uint64
-	mSeq, mCum    atomic.Uint64
 	mBatches      atomic.Uint64
 	mSyncs        atomic.Uint64
 	mCompactions  atomic.Uint64
-	mDepth        atomic.Uint64
 	mFsyncTotalNs atomic.Uint64
 	mFsyncMaxNs   atomic.Uint64
 }
@@ -180,7 +180,6 @@ func Create(dir string, g *graph.Graph, opts Options) (*Log, error) {
 	if err := l.newGeneration(); err != nil {
 		return nil, err
 	}
-	l.publishMetrics()
 	return l, nil
 }
 
@@ -210,9 +209,10 @@ func openStore(dir string, opts Options, bumpFence bool) (*Log, Recovery, error)
 	}
 	l := &Log{
 		fsys: opts.FS, dir: dir, opts: opts, g: g,
-		seq: rec.Seq, cum: rec.Records,
 		gen: rec.Gen, fence: rec.Fence,
 	}
+	l.seq.Store(rec.Seq)
+	l.cum.Store(rec.Records)
 	if rec.Labels != nil {
 		l.retainLabels(rec.Labels, rec.Labels.Seq)
 	}
@@ -227,7 +227,6 @@ func openStore(dir string, opts Options, bumpFence bool) (*Log, Recovery, error)
 		return nil, rec, err
 	}
 	rec.RecoveryNs = time.Since(start).Nanoseconds()
-	l.publishMetrics()
 	return l, rec, nil
 }
 
@@ -252,7 +251,7 @@ func OpenOrCreate(dir string, g *graph.Graph, opts Options) (l *Log, rec Recover
 func (l *Log) Graph() *graph.Graph { return l.g }
 
 // Seq returns the last committed batch sequence.
-func (l *Log) Seq() uint64 { return l.seq }
+func (l *Log) Seq() uint64 { return l.seq.Load() }
 
 // Dir returns the store directory.
 func (l *Log) Dir() string { return l.dir }
@@ -273,35 +272,30 @@ func (l *Log) Fenced() bool { return l.fenced.Load() }
 // from any goroutine.
 func (l *Log) Metrics() Metrics {
 	return Metrics{
-		Seq:          l.mSeq.Load(),
-		Records:      l.mCum.Load(),
+		Seq:          l.seq.Load(),
+		Records:      l.cum.Load(),
 		Batches:      l.mBatches.Load(),
 		Syncs:        l.mSyncs.Load(),
 		Compactions:  l.mCompactions.Load(),
-		Depth:        l.mDepth.Load(),
+		Depth:        l.depth.Load(),
 		Gen:          l.mGen.Load(),
 		Fence:        l.fence,
 		LabelRecords: l.mLabelRecs.Load(),
-		LabelSeq:     l.mLabelSeq.Load(),
+		LabelSeq:     l.labelSeq.Load(),
 		DurableBytes: l.mDurable.Load(),
 		FsyncTotal:   time.Duration(l.mFsyncTotalNs.Load()),
 		FsyncMax:     time.Duration(l.mFsyncMaxNs.Load()),
 	}
 }
 
-func (l *Log) publishMetrics() {
-	l.mSeq.Store(l.seq)
-	l.mCum.Store(l.cum)
-	l.mDepth.Store(uint64(l.depth))
-}
-
-// Append journals one mutation batch: every record is framed and written,
-// sealed by a commit marker, fsynced per policy, and applied to the durable
-// replica under the graph's edge-acceptance rule (self-loops, duplicate
-// adds, and missing removes are logged but not applied — replay makes the
-// same decisions). Edge records are stamped with
-// the new batch sequence as their validity bound: adds open at it, removes
-// close at it. It returns the committed batch sequence.
+// Append journals one mutation batch of TAddEdge and TRemoveEdge records:
+// every record is framed and written, sealed by a commit marker, fsynced
+// per policy, and applied to the durable replica under the graph's
+// edge-acceptance rule (self-loops, duplicate adds, and missing removes are
+// logged but not applied — replay makes the same decisions). The commit
+// marker's batch sequence is every record's validity bound: adds open at
+// it, removes close at it. It returns the committed batch sequence; a
+// record of any other type fails the batch before anything is written.
 //
 // Any filesystem error marks the log broken: the batch must be considered
 // not durable, and every later Append fails with ErrBroken until the store
@@ -314,25 +308,15 @@ func (l *Log) Append(recs []Record) (uint64, error) {
 		return 0, ErrFenced
 	}
 	if len(recs) == 0 {
-		return l.seq, nil
+		return l.seq.Load(), nil
 	}
-	seq := l.seq + 1
+	seq := l.seq.Load() + 1
 	buf := l.buf[:0]
-	for i := range recs {
-		r := &recs[i]
-		switch r.Type {
-		case TAddEdge:
-			r.From, r.To = int64(seq), -1
-		case TRemoveEdge:
-			r.From, r.To = 0, int64(seq)
-		case TWeight:
-			r.From, r.To = int64(seq), 0
-		case TCommit:
-			return 0, fmt.Errorf("wal: commit records are appended by the log, not callers")
-		case TLabelDelta:
-			return 0, fmt.Errorf("wal: label records are appended via AppendLabels, not Append")
+	for _, r := range recs {
+		if r.Type != TAddEdge && r.Type != TRemoveEdge {
+			return 0, fmt.Errorf("wal: Append takes edge records only, not type %d (commit markers are the log's own, labels go through AppendLabels)", r.Type)
 		}
-		buf = appendFrame(buf, *r)
+		buf = appendFrame(buf, r)
 	}
 	buf = appendFrame(buf, Record{Type: TCommit, Seq: seq, Count: uint32(len(recs))})
 	l.buf = buf[:0]
@@ -348,12 +332,11 @@ func (l *Log) Append(recs []Record) (uint64, error) {
 	for _, r := range recs {
 		applyRecord(l.g, r)
 	}
-	l.seq = seq
-	l.cum += uint64(len(recs))
-	l.depth += len(recs)
+	l.seq.Store(seq)
+	l.cum.Add(uint64(len(recs)))
+	l.depth.Add(uint64(len(recs)))
 	l.batchesInLog++
 	l.mBatches.Add(1)
-	l.publishMetrics()
 
 	if l.opts.CompactEvery > 0 && l.batchesInLog >= l.opts.CompactEvery {
 		if err := l.compact(); err != nil {
@@ -412,9 +395,9 @@ func (l *Log) syncNow() error {
 }
 
 // AppendLabels journals the label epoch ls as delta records against the
-// last journaled epoch (a full Reset delta the first time), stamped with
-// the last committed batch sequence. Label records follow the commit marker
-// of the batch they reflect, so a recovered label set can never be newer
+// last journaled epoch (a full Reset delta the first time). The records
+// follow the commit marker of the last committed batch, and that position
+// is the batch they reflect, so a recovered label set can never be newer
 // than the recovered topology — the journal-before-publish contract's
 // durable half. Returns the number of delta records written. It diffs
 // every node; AppendLabelChanges is the same journal for a caller that
@@ -452,12 +435,13 @@ func (l *Log) AppendLabelChanges(cur LabelReader, nodes []int) (int, error) {
 	if err := l.baselineIntact(); err != nil {
 		return 0, err
 	}
-	deltas := diffLabels(l.labels, cur, nodes, l.seq)
-	if len(deltas) == 0 && l.labelSeq < l.seq {
+	seq := l.seq.Load()
+	deltas := diffLabels(l.labels, cur, nodes)
+	if len(deltas) == 0 && l.labelSeq.Load() < seq {
 		// No label moved since the journaled epoch, which reflects an
-		// older batch: an empty route delta stamped l.seq moves the
-		// recovered epoch up to this batch and changes no label.
-		deltas = append(deltas, &LabelDelta{Kind: LabelRoute, Seq: l.seq, N: uint32(cur.N()), Dest: int32(cur.Destination())})
+		// older batch: an empty route delta after this batch's commit
+		// marker moves the recovered epoch up to it and changes no label.
+		deltas = append(deltas, &LabelDelta{Kind: LabelRoute, N: uint32(cur.N()), Dest: int32(cur.Destination())})
 	}
 	if len(deltas) > 0 {
 		buf := l.buf[:0]
@@ -466,15 +450,14 @@ func (l *Log) AppendLabelChanges(cur LabelReader, nodes []int) (int, error) {
 		}
 		l.buf = buf[:0]
 		if err := l.write(buf); err != nil {
-			return 0, fmt.Errorf("wal: append labels at batch %d: %w", l.seq, err)
+			return 0, fmt.Errorf("wal: append labels at batch %d: %w", seq, err)
 		}
 		if err := l.maybeSync(); err != nil {
-			return 0, fmt.Errorf("wal: fsync labels at batch %d: %w", l.seq, err)
+			return 0, fmt.Errorf("wal: fsync labels at batch %d: %w", seq, err)
 		}
 		l.mLabelRecs.Add(uint64(len(deltas)))
 	}
-	l.retainLabels(cur, l.seq)
-	l.mLabelSeq.Store(l.seq)
+	l.retainLabels(cur, seq)
 	return len(deltas), nil
 }
 
@@ -498,7 +481,8 @@ var checkBaselines bool
 
 // retainLabels makes ls, reflecting batch seq, the log's label baseline.
 func (l *Log) retainLabels(ls LabelReader, seq uint64) {
-	l.labels, l.labelSeq = ls, seq
+	l.labels = ls
+	l.labelSeq.Store(seq)
 	if checkBaselines && ls != nil {
 		l.labelsSum = crc32.Checksum(appendLabelSection(nil, ls, 0), castagnoli)
 	}
@@ -539,32 +523,10 @@ func (l *Log) Close() error {
 // edge-acceptance rule, reporting whether it applied. The rule is
 // deterministic, so log replay reconstructs the exact replica.
 func applyRecord(g *graph.Graph, r Record) bool {
-	u, v := int(r.U), int(r.V)
-	switch r.Type {
-	case TAddNode:
-		g.AddNode()
-		return true
-	case TRemoveNode:
-		if u < 0 || u >= g.N() {
-			return false
-		}
-		for _, w := range g.Neighbors(u) {
-			g.RemoveEdge(u, w)
-			if g.Directed() {
-				g.RemoveEdge(w, u)
-			}
-		}
-		return true
-	case TAddEdge:
-		return g.TryAddEdge(u, v, r.Weight)
-	case TRemoveEdge:
-		return g.RemoveEdge(u, v)
-	case TWeight:
-		// The graph has no in-place weight update; remove + re-add is
-		// deterministic on both the live and the replay path.
-		return g.RemoveEdge(u, v) && g.TryAddEdge(u, v, r.Weight)
+	if r.Type == TAddEdge {
+		return g.TryAddEdge(int(r.U), int(r.V), r.Weight)
 	}
-	return false
+	return g.RemoveEdge(int(r.U), int(r.V))
 }
 
 // compact rolls the current replica into a fresh generation and closes
@@ -587,9 +549,10 @@ func (l *Log) newGeneration() error {
 	if err := l.baselineIntact(); err != nil {
 		return err
 	}
-	sb := newSuper(l.seq, l.gen+1, l.fence)
-	header := encodeLogHeader(sb.gen, l.seq, l.cum)
-	f, err := installGeneration(l.fsys, l.dir, sb, EncodeSnapshotLabels(l.g, l.seq, l.cum, l.labels, l.labelSeq), header)
+	seq, cum := l.seq.Load(), l.cum.Load()
+	sb := newSuper(seq, l.gen+1, l.fence)
+	header := encodeLogHeader(sb.gen, seq, cum)
+	f, err := installGeneration(l.fsys, l.dir, sb, EncodeSnapshotLabels(l.g, seq, cum, l.labels, l.labelSeq.Load()), header)
 	if err != nil {
 		return err
 	}
@@ -601,10 +564,9 @@ func (l *Log) newGeneration() error {
 	l.genMu.Unlock()
 	l.mGen.Store(sb.gen)
 	l.mDurable.Store(int64(len(header)))
-	l.depth = 0
+	l.depth.Store(0)
 	l.batchesInLog = 0
 	l.unsyncedBatch = 0
-	l.mDepth.Store(0)
 	return nil
 }
 
@@ -694,7 +656,7 @@ func writeFileDurable(fsys FS, name string, data []byte) error {
 // ReplState returns the live replication cursor: the current generation and
 // its durable (fsynced) byte length, plus the last committed batch seq.
 func (l *Log) ReplState() (gen uint64, durable int64, seq uint64) {
-	return l.mGen.Load(), l.mDurable.Load(), l.mSeq.Load()
+	return l.mGen.Load(), l.mDurable.Load(), l.seq.Load()
 }
 
 // SnapshotBytes returns a copy of the current generation's snapshot file

@@ -20,8 +20,8 @@ func ringGraph(n int) *graph.Graph {
 	return g
 }
 
-// seededBatches generates b mutation batches over n nodes, mixing adds,
-// removes, weight changes, and the occasional node op, deterministically.
+// seededBatches generates b mutation batches over n nodes, mixing unit and
+// weighted adds with removes, deterministically.
 func seededBatches(seed int64, n, b, perBatch int) [][]Record {
 	r := stats.NewRand(seed)
 	out := make([][]Record, b)
@@ -35,9 +35,9 @@ func seededBatches(seed int64, n, b, perBatch int) [][]Record {
 			case 5, 6, 7:
 				batch[j] = Record{Type: TRemoveEdge, U: u, V: v}
 			case 8:
-				batch[j] = Record{Type: TWeight, U: u, V: v, Weight: float64(r.Intn(5)) + 0.5}
+				batch[j] = Record{Type: TAddEdge, U: u, V: v, Weight: float64(r.Intn(5)) + 0.5}
 			default:
-				batch[j] = Record{Type: TRemoveNode, U: u}
+				batch[j] = Record{Type: TRemoveEdge, U: v, V: u}
 			}
 		}
 		out[i] = batch
@@ -149,11 +149,33 @@ func TestAppendStampsValidity(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(adds) != 1 || adds[0].From != 1 || adds[0].To != -1 {
+	if len(adds) != 1 || adds[0].Seq != 1 {
 		t.Fatalf("add record not stamped with batch seq: %+v", adds)
 	}
-	if len(removes) != 1 || removes[0].To != 2 {
+	if len(removes) != 1 || removes[0].Seq != 2 {
 		t.Fatalf("remove record not stamped with batch seq: %+v", removes)
+	}
+}
+
+// TestAppendRejectsNonEdgeRecords: Append journals edge records only. A
+// batch holding any other type — a commit marker, a label delta, a retired
+// or unknown type byte — fails whole, before anything is written.
+func TestAppendRejectsNonEdgeRecords(t *testing.T) {
+	l, err := Create("d", graph.New(4), Options{FS: NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	before := len(l.live)
+	for _, typ := range []Type{0, 1, 2, 5, TCommit, TLabelDelta, 99} {
+		batch := []Record{{Type: TAddEdge, U: 0, V: 1, Weight: 1}, {Type: typ, U: 1, V: 2}}
+		if _, err := l.Append(batch); err == nil {
+			t.Fatalf("Append accepted a record of type %d", typ)
+		}
+	}
+	if l.Seq() != 0 || len(l.live) != before || l.Graph().M() != 0 {
+		t.Fatalf("rejected batches left seq %d, %d log byte(s) past the header, %d edge(s)",
+			l.Seq(), len(l.live)-before, l.Graph().M())
 	}
 }
 
